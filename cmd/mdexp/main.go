@@ -27,13 +27,18 @@
 // instead. See README.md for the artifact schema.
 //
 // With -resume <dir>, every finished (benchmark, config) cell is
-// journaled to <dir>/runs.journal as it completes, and a restarted
-// sweep pointed at the same directory replays the journal instead of
-// re-simulating — resume after a crash or SIGKILL is bit-identical to
-// an uninterrupted run. Transient cell failures (worker panics,
+// journaled to the segment <dir>/runs.mdexp.journal as it completes,
+// and a restarted sweep pointed at the same directory replays every
+// journal there (including an mdserve daemon's segments and a legacy
+// runs.journal, read-only) instead of re-simulating — resume after a
+// crash or SIGKILL is bit-identical to an uninterrupted run. The
+// segment is owned through the lease <dir>/runs.mdexp.lease: a second
+// concurrent -resume on the same directory fails with "lease held",
+// while a lease left by a killed sweep on this host is reclaimed at
+// once (a lease from another host expires after its heartbeat TTL). Transient cell failures (worker panics,
 // watchdog deadlock reports) are retried up to -retries attempts with
 // capped exponential backoff; a sampled cell that keeps failing falls
-// back to one serial sampled pass, and a cell that cannot be completed
+// back to one single-worker pass of the same sampled decomposition, and a cell that cannot be completed
 // at all is listed in the artifact's partial-results envelope instead
 // of aborting the sweep. See README.md ("Robustness & operations").
 //
@@ -86,6 +91,9 @@ func exp[T any](name string, gen func(context.Context, *experiments.Runner) ([]T
 		return rows, render(rows), nil
 	}}
 }
+
+// journalSegment is the journal segment id every -resume sweep owns.
+const journalSegment = "mdexp"
 
 var registry = []experiment{
 	exp("fig1", experiments.Figure1, experiments.RenderFigure1),
@@ -227,7 +235,7 @@ func main() {
 	}
 	var replayed []experiments.RunRecord
 	if *resumeDir != "" {
-		j, recs, err := experiments.OpenJournal(*resumeDir, opt)
+		j, recs, err := experiments.OpenJournalSegment(*resumeDir, journalSegment, opt, experiments.DefaultLeaseTTL)
 		if err != nil {
 			fatal(err)
 		}

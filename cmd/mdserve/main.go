@@ -22,17 +22,25 @@
 // with work stealing, restarts crashed or wedged workers under capped
 // backoff, and degrades to in-process execution if the whole fleet is
 // down (reported as degraded in /v1/healthz; per-worker liveness,
-// steal, and restart counters in /v1/metrics). Each worker owns a
-// lease-protected journal segment runs.<id>.journal; the supervisor
-// merges every segment on restart.
+// steal, and restart counters in /v1/metrics).
 //
-// With -journal (single-process mode), every finished cell is
-// checkpointed to <dir>/runs.journal and a restarted daemon re-primes
-// its cache from it, so previously-computed cells are served without
-// re-simulating across restarts. GET /v1/metrics exposes the runner's
-// lifetime counters, per-endpoint request/latency accounting, and
-// queue occupancy; GET /v1/options the provenance tuple (clients
-// check it before sweeping — see mdexp -server).
+// With -journal <dir>, every finished cell is checkpointed to this
+// process's own segment <dir>/runs.<id>.journal, owned through the
+// lease <dir>/runs.<id>.lease: id "sup" for the daemon itself (with or
+// without -workers, so a restart in either mode owns the same segment)
+// and "w0", "w1", ... for fleet workers. A restarted daemon re-primes
+// its cache from the merge of every journal in the directory (a legacy
+// runs.journal is read, never written), so previously-computed cells
+// are served without re-simulating across restarts. An open journal
+// heartbeats its lease; a lease is reclaimed once its heartbeat is
+// older than the TTL, or at once when it names a dead process on this
+// host — so a daemon restarted right after a SIGKILL, or a respawned
+// worker, takes its segment straight back.
+//
+// GET /v1/metrics exposes the runner's lifetime counters, per-endpoint
+// request/latency accounting, and queue occupancy; GET /v1/options the
+// provenance tuple (clients check it before sweeping — see mdexp
+// -server).
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the listener closes,
 // in-flight requests drain (bounded by -drain), queued cells finish
@@ -117,23 +125,15 @@ func main() {
 	// with the final options: its meta header is the provenance
 	// fingerprint, so a dir journaled under different options is
 	// detected and refused rather than silently serving foreign cells.
-	//
-	// Journal layout depends on the role: a single-process daemon owns
-	// the legacy runs.journal; fleet processes (workers and the
-	// supervisor alike) each own one lease-protected runs.<id>.journal
-	// segment and re-prime from the merge of every segment in the dir.
 	var journal *experiments.Journal
 	var replayed []experiments.RunRecord
 	if *journalDir != "" {
-		var err error
-		switch {
-		case *workerMode:
-			journal, replayed, err = experiments.OpenJournalSegment(*journalDir, *workerID, opt, experiments.DefaultLeaseTTL)
-		case *procs > 0:
-			journal, replayed, err = experiments.OpenJournalSegment(*journalDir, "sup", opt, experiments.DefaultLeaseTTL)
-		default:
-			journal, replayed, err = experiments.OpenJournal(*journalDir, opt)
+		segment := "sup"
+		if *workerMode {
+			segment = *workerID
 		}
+		var err error
+		journal, replayed, err = experiments.OpenJournalSegment(*journalDir, segment, opt, experiments.DefaultLeaseTTL)
 		if err != nil {
 			fatal(err)
 		}
@@ -171,7 +171,6 @@ func main() {
 			Exec:       exe,
 			Args:       workerArgs(flag.CommandLine, *drain),
 			Dir:        sockDir,
-			JournalDir: *journalDir,
 			Meta:       fingerprintPtr(opt),
 			CellBudget: *cellBudget,
 			Fallback:   srv.Runner().LocalSimulate,
@@ -183,12 +182,6 @@ func main() {
 		srv.Runner().UseBackend(pool.Simulate)
 		srv.AttachFleet(pool)
 		logger.Printf("supervising %d worker process(es) in %s", *procs, sockDir)
-	}
-
-	// A worker heartbeats its journal lease so the supervisor (and any
-	// segment reader) can tell a live owner from a dead one's remains.
-	if journal != nil && (*workerMode || *procs > 0) {
-		go heartbeatLease(ctx, journal, logger)
 	}
 
 	var ln net.Listener
@@ -269,23 +262,6 @@ func workerArgs(fs *flag.FlagSet, drain time.Duration) func(slot int, socket str
 	base = append(base, "-drain="+drain.String())
 	return func(slot int, socket string) []string {
 		return append([]string{"-worker", "-socket", socket, "-worker-id", fleet.WorkerID(slot)}, base...)
-	}
-}
-
-// heartbeatLease stamps the journal lease on a fraction of the TTL so
-// a live owner is never mistaken for a dead one.
-func heartbeatLease(ctx context.Context, j *experiments.Journal, logger *log.Logger) {
-	t := time.NewTicker(experiments.DefaultLeaseTTL / 3)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := j.Heartbeat(); err != nil {
-				logger.Printf("lease heartbeat: %v", err)
-			}
-		}
 	}
 }
 

@@ -8,9 +8,9 @@
 //	      [-json] [-out file] [-cpuprofile file] [-memprofile file]
 //	      [-trace file]
 //
-// With -sample, -par shards the sampled run across N workers using the
-// interval-parallel engine (0 = one per CPU core; default 1 = serial);
-// the result is bit-identical for every N.
+// With -sample, the run uses the interval-parallel sampled engine that
+// mdexp -sampled sweeps use, and -par sets its worker count (0 = one
+// per CPU core; default 1); the result is bit-identical for every N.
 //
 // With -json, a single provenance-carrying run record (config name and
 // hash, instruction budget, wall time, runner version, raw counters) is
@@ -115,32 +115,20 @@ func main() {
 	}
 	var r *stats.Run
 	start := time.Now()
-	switch {
-	case *sample != "" && *par != 1:
+	if *sample != "" {
 		// Interval-parallel sampled run over a shared recording.
 		rec := emu.NewRecording(emu.New(p))
 		r, err = parsim.Run(context.Background(), cfg, rec, parsim.Options{
 			TotalTiming: *n, TimingInsts: tw, FunctionalInsts: fw, Workers: *par,
 		})
-		if err != nil {
-			fatal(err)
+	} else {
+		var pl *core.Pipeline
+		if pl, err = core.New(cfg, emu.NewTrace(emu.New(p))); err == nil {
+			r, err = pl.Run(*n)
 		}
-	case *sample != "":
-		pl, err := core.New(cfg, emu.NewTrace(emu.New(p)))
-		if err != nil {
-			fatal(err)
-		}
-		if r, err = pl.RunSampled(*n, tw, fw); err != nil {
-			fatal(err)
-		}
-	default:
-		pl, err := core.New(cfg, emu.NewTrace(emu.New(p)))
-		if err != nil {
-			fatal(err)
-		}
-		if r, err = pl.Run(*n); err != nil {
-			fatal(err)
-		}
+	}
+	if err != nil {
+		fatal(err)
 	}
 	wall := time.Since(start)
 	r.Workload = *bench

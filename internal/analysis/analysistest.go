@@ -7,7 +7,7 @@ import (
 )
 
 // TB is the subset of *testing.T the fixture runner needs; keeping it
-// an interface avoids linking the testing package into cmd/mdlint.
+// an interface avoids linking the testing package into cmd/mdvet.
 type TB interface {
 	Helper()
 	Errorf(format string, args ...any)

@@ -507,7 +507,7 @@ func (p *Pipeline) deadlockSnapshot() string {
 // step advances the machine by one cycle. It is the zero-allocation
 // warm path: after warmup, steady-state stepping must not allocate
 // (pinned by TestStepZeroAllocSteadyState and enforced statically by
-// mdlint's hotpathalloc walk rooted here).
+// mdvet's hotpathalloc walk rooted here).
 //
 //md:hotpath
 func (p *Pipeline) step() {

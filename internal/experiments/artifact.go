@@ -17,10 +17,11 @@ import (
 // schema or to what the runner measures.
 const RunnerVersion = "mdspec-runner/4"
 
-// FallbackSerialSampled marks a run whose interval-parallel sampled
-// simulation kept failing transiently and was completed by one serial
-// sampled pass instead (graceful degradation; see Runner).
-const FallbackSerialSampled = "serial-sampled"
+// FallbackSingleWorker marks a sampled run whose primary simulation
+// kept failing transiently and was completed by one single-worker pass
+// of the same sampled decomposition, without checkpoints (graceful
+// degradation; see Runner). Its statistics equal the primary engine's.
+const FallbackSingleWorker = "single-worker"
 
 // Provenance identifies one simulation well enough to reproduce it:
 // which benchmark ran under which configuration (by paper-style name
@@ -43,7 +44,7 @@ type RunRecord struct {
 	// (1 = clean first try; omitted for replayed pre-retry records).
 	Attempts int `json:"attempts,omitempty"`
 	// Fallback names the degraded backend that produced the result, if
-	// any (FallbackSerialSampled); empty for the primary engine.
+	// any (FallbackSingleWorker); empty for the primary engine.
 	Fallback    string     `json:"fallback,omitempty"`
 	IPC         float64    `json:"ipc"`
 	MisspecRate float64    `json:"misspec_rate"`

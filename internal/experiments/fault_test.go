@@ -61,7 +61,7 @@ func TestInjectedJobPanicRetried(t *testing.T) {
 func TestInjectedJournalAppendError(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
-	j, _, err := OpenJournal(dir, opt)
+	j, _, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestInjectedJournalAppendError(t *testing.T) {
 	// The first cell's entry was lost (degraded resumability); the
 	// second was journaled normally.
 	j.Close()
-	_, recs, err := OpenJournal(dir, Options{Insts: 1000})
+	recs, err := ReplayJournalDir(dir, Options{Insts: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,16 @@ import (
 )
 
 // The journal is the sweep's write-ahead checkpoint store: every
-// completed (benchmark, configuration) simulation is appended to
-// <dir>/runs.journal as one length-prefixed, checksummed JSON entry the
-// moment it finishes, and `mdexp -resume <dir>` replays the file so
-// already-finished cells of a killed sweep are primed into the runner's
-// memo cache instead of re-simulated. Because each segment's statistics
-// depend only on (recording, config, options) — the determinism
-// contract the rest of the repository enforces — a replayed cell is
-// bit-identical to re-running it, which makes resume-after-SIGKILL
-// equivalent to an uninterrupted sweep.
+// completed (benchmark, configuration) simulation is appended to the
+// writer's own segment <dir>/runs.<id>.journal as one length-prefixed,
+// checksummed JSON entry the moment it finishes, and a restarted writer
+// (`mdexp -resume <dir>`, `mdserve -journal <dir>`) replays every
+// segment in the directory so already-finished cells of a killed sweep
+// are primed into the runner's memo cache instead of re-simulated.
+// Because each segment's statistics depend only on (recording, config,
+// options) — the determinism contract the rest of the repository
+// enforces — a replayed cell is bit-identical to re-running it, which
+// makes resume-after-SIGKILL equivalent to an uninterrupted sweep.
 //
 // On-disk format: a magic line, then frames of
 //
@@ -44,16 +45,17 @@ import (
 // detected on the next open and truncated away, never parsed into the
 // cache.
 
-// journalName is the WAL's filename inside a -resume directory.
+// journalName is the single-writer WAL's filename from before journals
+// were segmented; an existing one is still merged read-only.
 const journalName = "runs.journal"
 
 // journalMagic identifies (and versions) the file format.
 const journalMagic = "mdspec-journal/1\n"
 
-// Segment naming: a multi-process journal directory holds one
-// `runs.<id>.journal` per writer, each owned through a sibling
-// `runs.<id>.lease` file, alongside (optionally) the legacy
-// single-writer runs.journal, which is merged read-only.
+// Segment naming: a journal directory holds one `runs.<id>.journal`
+// per writer, each owned through a sibling `runs.<id>.lease` file,
+// alongside (optionally) the legacy single-writer runs.journal, which
+// is merged read-only.
 const (
 	segmentPrefix = "runs."
 	segmentSuffix = ".journal"
@@ -62,8 +64,8 @@ const (
 
 // DefaultLeaseTTL is how long a segment lease stays valid without a
 // heartbeat refresh. A writer that has not heartbeated for a full TTL
-// is presumed dead and its lease may be reclaimed; live writers should
-// heartbeat several times per TTL (see Journal.Heartbeat).
+// is presumed dead and its lease may be reclaimed; an open Journal
+// heartbeats three times per TTL.
 const DefaultLeaseTTL = 10 * time.Second
 
 // Fingerprint identifies the provenance tuple a result cache or
@@ -107,53 +109,43 @@ type journalEntry struct {
 	Run  *RunRecord   `json:"run,omitempty"`
 }
 
-// Journal is an append-only, checksummed WAL of completed runs.
+// Journal is one writer's append-only, checksummed journal segment.
 // Appends are serialized and fsynced; it is safe for concurrent use by
-// a Runner's sweep workers. A Journal opened as a segment
-// (OpenJournalSegment) additionally holds its segment's lease, which
-// Heartbeat refreshes and Close releases.
+// a Runner's sweep workers. The Journal owns its segment's lease: a
+// background heartbeat keeps it fresh from open until Close, which
+// stops the heartbeat and releases the lease.
 type Journal struct {
-	mu    sync.Mutex
-	f     *os.File   //md:guardedby mu
-	lease *leaseInfo //md:guardedby mu — nil for the legacy single-writer journal
-	path  string     // immutable after OpenJournal
-	// leasePath is the lease file's location; immutable, "" when unleased.
-	leasePath string
+	mu        sync.Mutex
+	f         *os.File //md:guardedby mu
+	closed    bool     //md:guardedby mu
+	path      string   // immutable after OpenJournalSegment
+	leasePath string   // immutable after OpenJournalSegment
+	stopBeat  chan struct{}
+	beatDone  chan error // the heartbeat's first failure (or nil), sent once on exit
 }
 
 // leaseInfo is the JSON body of a runs.<id>.lease file: who owns the
-// segment and when they last proved they were alive.
+// segment, on which host, and when they last proved they were alive.
 type leaseInfo struct {
 	Owner         string `json:"owner"`
+	Host          string `json:"host,omitempty"`
 	PID           int    `json:"pid"`
 	AcquiredUnix  int64  `json:"acquired_unix"`
 	HeartbeatUnix int64  `json:"heartbeat_unix"`
 }
 
 // ErrLeaseHeld reports that a journal segment is owned by another
-// writer whose lease is still fresh (heartbeat within the TTL).
+// writer that may still be alive: its heartbeat is within the TTL and
+// it is not a dead process on this host.
 type ErrLeaseHeld struct {
 	Path string        // the lease file
+	Host string        // the owner's host, as recorded in the lease
 	PID  int           // the owner's pid, as recorded in the lease
 	Age  time.Duration // time since the owner's last heartbeat
 }
 
 func (e *ErrLeaseHeld) Error() string {
-	return fmt.Sprintf("journal: segment lease %s held by pid %d (heartbeat %.1fs ago)", e.Path, e.PID, e.Age.Seconds())
-}
-
-// OpenJournal opens (or creates) the journal in dir for a sweep running
-// with opt, and returns the run records replayed from it (deduplicated,
-// last entry per (bench, config hash) wins — in practice cells are
-// journaled once). A torn tail left by a crash is truncated before the
-// journal is reopened for appending. A journal written under different
-// options (budget, sampling windows, runner version) is rejected: its
-// cells belong to a different sweep.
-func OpenJournal(dir string, opt Options) (*Journal, []RunRecord, error) {
-	if err := atomicio.ProbeDir(dir); err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	return openJournalFile(filepath.Join(dir, journalName), opt.Fingerprint())
+	return fmt.Sprintf("journal: segment lease %s held by pid %d on %q (heartbeat %.1fs ago)", e.Path, e.PID, e.Host, e.Age.Seconds())
 }
 
 // SegmentPath returns the journal segment file a writer with the given
@@ -184,14 +176,20 @@ func validSegmentID(id string) error {
 }
 
 // OpenJournalSegment opens this writer's own journal segment
-// (runs.<id>.journal) in dir under an exclusive lease, truncating the
-// segment's torn tail exactly as OpenJournal does for the legacy file,
-// and returns the run records merged from *every* segment in dir —
-// the legacy runs.journal, other writers' live segments, and this one.
-// A fresh lease carries a heartbeat timestamp the owner must refresh
-// (Heartbeat) several times per ttl; a lease whose heartbeat is older
-// than a full ttl is presumed abandoned by a dead writer and is
-// reclaimed. ttl <= 0 selects DefaultLeaseTTL.
+// (runs.<id>.journal) in dir under an exclusive lease and returns the
+// run records merged from *every* journal in dir — the legacy
+// runs.journal, other writers' segments, and this one. The segment's
+// torn tail, if a crash left one, is truncated so appends continue on
+// a frame boundary. A directory journaled under different options
+// (budget, sampling windows, phases, runner version) is rejected
+// before anything is written: its cells belong to a different sweep.
+//
+// The lease is reclaimed from its previous owner only when that owner
+// is certainly gone: its heartbeat is older than ttl, or it recorded
+// this host and its PID no longer names a live process here. Otherwise
+// the open fails with *ErrLeaseHeld. The returned Journal heartbeats
+// the lease three times per ttl until Close. ttl <= 0 selects
+// DefaultLeaseTTL.
 //
 // Torn tails of *other* writers' segments are skipped, never
 // truncated: a tear there is either a live append in progress or a
@@ -210,20 +208,24 @@ func OpenJournalSegment(dir, id string, opt Options, ttl time.Duration) (*Journa
 	if err != nil {
 		return nil, nil, err
 	}
-	j, _, err := openJournalFile(SegmentPath(dir, id), opt.Fingerprint())
-	if err != nil {
-		os.Remove(leasePath(dir, id)) //md:errok releasing a just-acquired lease on a failing open; the open error is the one reported
-		return nil, nil, err
-	}
-	//md:nolock single-owner: OpenJournalSegment sets the lease before the Journal is published to any other goroutine
-	j.lease = lease
-	j.leasePath = leasePath(dir, id)
+	lp := leasePath(dir, id)
 	recs, err := ReplayJournalDir(dir, opt)
+	var f *os.File
+	if err == nil {
+		f, err = openSegmentFile(SegmentPath(dir, id), opt.Fingerprint())
+	}
 	if err != nil {
-		jerr := j.Close()
-		_ = jerr //md:errok cleanup on an already-failing open; the replay error is the one reported
+		os.Remove(lp) //md:errok releasing a just-acquired lease on a failing open; the open error is the one reported
 		return nil, nil, err
 	}
+	j := &Journal{
+		f:         f,
+		path:      SegmentPath(dir, id),
+		leasePath: lp,
+		stopBeat:  make(chan struct{}),
+		beatDone:  make(chan error, 1),
+	}
+	go j.heartbeat(lease, ttl/3)
 	return j, recs, nil
 }
 
@@ -273,20 +275,20 @@ func ReplayJournalDir(dir string, opt Options) ([]RunRecord, error) {
 }
 
 // acquireLease claims segment id's lease in dir via O_EXCL creation.
-// A held lease whose heartbeat is older than ttl is reclaimed with a
-// rename-to-claim step so two racing reclaimers cannot both win: the
-// rename succeeds for exactly one of them, the other loops and finds
-// the winner's fresh lease.
-func acquireLease(dir, id string, ttl time.Duration) (*leaseInfo, error) {
+// A held lease is reclaimed when its owner is certainly gone (see
+// ownerGone) with a rename-to-claim step so two racing reclaimers
+// cannot both win: the rename succeeds for exactly one of them, the
+// other loops and finds the winner's fresh lease.
+func acquireLease(dir, id string, ttl time.Duration) (leaseInfo, error) {
 	if err := faultinject.PointErr(faultinject.SiteLeaseAcquire); err != nil {
-		return nil, fmt.Errorf("journal: acquiring lease for segment %s: %w", id, err)
+		return leaseInfo{}, fmt.Errorf("journal: acquiring lease for segment %s: %w", id, err)
 	}
 	path := leasePath(dir, id)
 	for tries := 0; tries < 4; tries++ {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o666)
 		if err == nil {
 			now := time.Now().Unix()
-			info := &leaseInfo{Owner: id, PID: os.Getpid(), AcquiredUnix: now, HeartbeatUnix: now}
+			info := leaseInfo{Owner: id, Host: thisHost, PID: os.Getpid(), AcquiredUnix: now, HeartbeatUnix: now}
 			data, merr := json.Marshal(info)
 			if merr == nil {
 				_, merr = f.Write(data)
@@ -299,153 +301,136 @@ func acquireLease(dir, id string, ttl time.Duration) (*leaseInfo, error) {
 			}
 			if merr != nil {
 				os.Remove(path) //md:errok releasing a half-written lease; the write error is the one reported
-				return nil, fmt.Errorf("journal: writing lease %s: %w", path, merr)
+				return leaseInfo{}, fmt.Errorf("journal: writing lease %s: %w", path, merr)
 			}
 			return info, nil
 		}
 		if !os.IsExist(err) {
-			return nil, fmt.Errorf("journal: lease %s: %w", path, err)
+			return leaseInfo{}, fmt.Errorf("journal: lease %s: %w", path, err)
 		}
-		// Lease exists: fresh means held, stale (or unparsable — a torn
-		// lease write is itself evidence of a dead writer) means reclaim.
 		data, rerr := os.ReadFile(path)
 		if rerr != nil {
 			if os.IsNotExist(rerr) {
 				continue // released between our create and read; retry
 			}
-			return nil, fmt.Errorf("journal: lease %s: %w", path, rerr)
+			return leaseInfo{}, fmt.Errorf("journal: lease %s: %w", path, rerr)
 		}
 		var held leaseInfo
-		var hb time.Time
-		if json.Unmarshal(data, &held) == nil && held.HeartbeatUnix > 0 {
-			hb = time.Unix(held.HeartbeatUnix, 0)
+		// An unparsable lease (a torn lease write) is itself evidence of
+		// a dead writer: its zero heartbeat reads as expired.
+		if json.Unmarshal(data, &held) != nil {
+			held = leaseInfo{}
 		}
-		if age := time.Since(hb); age <= ttl {
-			return nil, &ErrLeaseHeld{Path: path, PID: held.PID, Age: age}
+		age := time.Since(time.Unix(held.HeartbeatUnix, 0))
+		if held.HeartbeatUnix > 0 && age <= ttl && !held.ownerGone() {
+			return leaseInfo{}, &ErrLeaseHeld{Path: path, Host: held.Host, PID: held.PID, Age: age}
 		}
 		claim := fmt.Sprintf("%s.reclaim.%d", path, os.Getpid())
 		if rerr := os.Rename(path, claim); rerr != nil {
 			if os.IsNotExist(rerr) {
 				continue // another reclaimer won the rename; retry sees their lease
 			}
-			return nil, fmt.Errorf("journal: reclaiming stale lease %s: %w", path, rerr)
+			return leaseInfo{}, fmt.Errorf("journal: reclaiming lease %s: %w", path, rerr)
 		}
 		if rerr := os.Remove(claim); rerr != nil && !os.IsNotExist(rerr) {
-			return nil, fmt.Errorf("journal: removing reclaimed lease %s: %w", claim, rerr)
+			return leaseInfo{}, fmt.Errorf("journal: removing reclaimed lease %s: %w", claim, rerr)
 		}
 	}
-	return nil, fmt.Errorf("journal: lease %s: could not acquire after repeated reclaim races", path)
+	return leaseInfo{}, fmt.Errorf("journal: lease %s: could not acquire after repeated reclaim races", path)
 }
 
-// BreakLease force-releases segment id's lease in dir. Only a caller
-// that has independently confirmed the owner is dead may use it — the
-// fleet supervisor calls it after waitpid on a crashed worker, so the
-// restarted incarnation reacquires its segment immediately instead of
-// waiting out the heartbeat TTL.
-func BreakLease(dir, id string) error {
-	if err := validSegmentID(id); err != nil {
-		return err
-	}
-	if err := os.Remove(leasePath(dir, id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("journal: breaking lease for segment %s: %w", id, err)
-	}
-	return nil
+// thisHost names this machine in the leases it writes. An empty name
+// (os.Hostname failed) never matches, so such leases expire by TTL only.
+var thisHost, _ = os.Hostname()
+
+// ownerGone reports whether the lease's owner is certainly dead: it
+// ran on this host and its PID no longer names a live process here. A
+// lease from another host (or one with no host) cannot be checked and
+// is trusted until its heartbeat expires.
+func (l leaseInfo) ownerGone() bool {
+	return l.Host != "" && l.Host == thisHost && l.PID > 0 && processGone(l.PID)
 }
 
-// Heartbeat refreshes the segment lease's liveness timestamp. Owners
-// of a leased segment must call it several times per lease TTL (the
-// fleet worker runs it on a ticker); on the legacy unleased journal it
-// is a no-op.
-func (j *Journal) Heartbeat() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.lease == nil {
-		return nil
+// heartbeat re-stamps the lease every period until Close, then reports
+// its first failure (a lease that could not be refreshed may expire
+// under a live owner) on beatDone.
+func (j *Journal) heartbeat(lease leaseInfo, every time.Duration) {
+	t := time.NewTicker(every)
+	defer t.Stop()
+	var first error
+	for {
+		select {
+		case <-j.stopBeat: //md:ctxok stopBeat is this goroutine's cancellation; Close closes it
+			j.beatDone <- first //md:ctxok cap-1 channel, single send
+			return
+		case <-t.C: //md:ctxok paired with the stopBeat case above
+		}
+		lease.HeartbeatUnix = time.Now().Unix()
+		data, err := json.Marshal(lease)
+		if err == nil {
+			err = atomicio.WriteFile(j.leasePath, func(w io.Writer) error {
+				_, werr := w.Write(data)
+				return werr
+			})
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("journal: lease heartbeat: %w", err)
+		}
 	}
-	j.lease.HeartbeatUnix = time.Now().Unix()
-	data, err := json.Marshal(j.lease)
+}
+
+// openSegmentFile opens (or creates) one journal file for appending:
+// replay, torn-tail truncation, and fresh-file initialization with the
+// magic and the meta fingerprint, so even an immediately-killed writer
+// leaves a parsable file.
+func openSegmentFile(path string, want Fingerprint) (*os.File, error) {
+	_, validLen, err := replayJournal(path, want)
 	if err != nil {
-		return fmt.Errorf("journal: lease heartbeat: %w", err)
-	}
-	if err := atomicio.WriteFile(j.leasePath, func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
-	}); err != nil {
-		return fmt.Errorf("journal: lease heartbeat: %w", err)
-	}
-	return nil
-}
-
-// openJournalFile opens (or creates) one journal file for appending:
-// replay, torn-tail truncation, and fresh-file initialization.
-func openJournalFile(path string, want Fingerprint) (*Journal, []RunRecord, error) {
-	recs, validLen, err := replayJournal(path, want)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if validLen >= 0 {
-		// Existing journal: drop a torn tail so the append cursor starts
+		// Existing segment: drop a torn tail so the append cursor starts
 		// on a frame boundary.
 		if err := os.Truncate(path, validLen); err != nil {
-			return nil, nil, fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
+			return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
 		}
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
 	if validLen < 0 {
-		// Fresh journal: write the magic and the meta fingerprint first,
-		// so even an immediately-killed sweep leaves a parsable file.
-		if err := j.init(want); err != nil {
+		frame, err := encodeFrame(journalEntry{Meta: &want})
+		if err == nil {
+			_, err = f.Write(append([]byte(journalMagic), frame...))
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
 			f.Close() //md:errok cleanup on an already-failing open; the init error is the one reported
-			return nil, nil, err
+			return nil, fmt.Errorf("journal: initializing %s: %w", path, err)
 		}
 	}
-	return j, recs, nil
-}
-
-// Path returns the journal file's location.
-func (j *Journal) Path() string { return j.path }
-
-// init writes the magic line and the meta entry of a fresh journal.
-//
-//md:nolock single-owner: OpenJournal calls init before the Journal is published to any other goroutine
-func (j *Journal) init(meta Fingerprint) error {
-	if _, err := j.f.WriteString(journalMagic); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return j.append(journalEntry{Meta: &meta})
+	return f, nil
 }
 
 // Append journals one completed run and fsyncs it, making the cell
 // durable against a crash from this point on.
 func (j *Journal) Append(rec RunRecord) error {
-	return j.append(journalEntry{Run: &rec})
-}
-
-func (j *Journal) append(e journalEntry) error {
 	if err := faultinject.PointErr(faultinject.SiteJournalAppend); err != nil {
 		return fmt.Errorf("journal: append to %s: %w", j.path, err)
 	}
-	payload, err := json.Marshal(e)
+	frame, err := encodeFrame(journalEntry{Run: &rec})
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	var frame bytes.Buffer
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	frame.Write(hdr[:])
-	frame.Write(payload)
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	// One Write call per frame: O_APPEND makes the frame a single
 	// contiguous region even with concurrent appenders, and the fsync
 	// pins it before Append reports the cell durable.
-	if _, err := j.f.Write(frame.Bytes()); err != nil {
+	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("journal: append to %s: %w", j.path, err)
 	}
 	if err := j.f.Sync(); err != nil {
@@ -454,18 +439,35 @@ func (j *Journal) append(e journalEntry) error {
 	return nil
 }
 
-// Close closes the journal file and, for a leased segment, releases
-// the lease so a successor can take the segment over without waiting
-// out the TTL.
+// encodeFrame renders one entry as a length- and CRC-prefixed frame.
+func encodeFrame(e journalEntry) ([]byte, error) {
+	payload, err := json.Marshal(e)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, 8, 8+len(payload))
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return append(frame, payload...), nil
+}
+
+// Close stops the lease heartbeat, closes the segment, and releases
+// the lease so a successor can take the segment over at once. A failed
+// heartbeat is reported here. Closing twice is an error.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	err := j.f.Close()
-	if j.lease != nil {
-		j.lease = nil
-		if rerr := os.Remove(j.leasePath); rerr != nil && !os.IsNotExist(rerr) && err == nil {
-			err = fmt.Errorf("journal: releasing lease %s: %w", j.leasePath, rerr)
-		}
+	if j.closed {
+		return fmt.Errorf("journal: %s already closed", j.path)
+	}
+	j.closed = true
+	close(j.stopBeat)
+	err := <-j.beatDone //md:ctxok the heartbeat goroutine exits as soon as stopBeat closes
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	if rerr := os.Remove(j.leasePath); rerr != nil && !os.IsNotExist(rerr) && err == nil {
+		err = fmt.Errorf("journal: releasing lease %s: %w", j.leasePath, rerr)
 	}
 	return err
 }
@@ -476,9 +478,7 @@ const maxJournalEntry = 64 << 20
 
 // replayJournal scans path and returns the deduplicated run records and
 // the byte length of the valid prefix. A missing file returns
-// validLen = -1 (nothing to truncate, journal needs initialization). A
-// torn or corrupt tail ends the scan at the last intact frame — every
-// entry before it is replayed, nothing after it is trusted.
+// validLen = -1 (nothing to truncate, journal needs initialization).
 func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -487,8 +487,17 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 		}
 		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
+	return decodeJournal(path, data, want)
+}
+
+// decodeJournal parses one journal file's bytes. A torn or corrupt
+// tail ends the scan at the last intact frame — every entry before it
+// is replayed, nothing after it is trusted. validLen = -1 means the
+// file holds no meta entry yet (torn right after the magic) and must
+// be re-initialized.
+func decodeJournal(path string, data []byte, want Fingerprint) (recs []RunRecord, validLen int64, err error) {
 	if !bytes.HasPrefix(data, []byte(journalMagic)) {
-		return nil, 0, fmt.Errorf("journal: %s is not a runs.journal (bad magic)", path)
+		return nil, 0, fmt.Errorf("journal: %s is not a journal (bad magic)", path)
 	}
 	off := int64(len(journalMagic))
 	sawMeta := false
@@ -502,12 +511,8 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 		switch {
 		case entry.Meta != nil:
 			if *entry.Meta != want {
-				return nil, 0, fmt.Errorf(
-					"journal: %s was written by %s with insts=%d sampled=%v windows=%d:%d/%d; this sweep runs %s insts=%d sampled=%v windows=%d:%d/%d — use a fresh -resume directory",
-					path, entry.Meta.Runner, entry.Meta.Insts, entry.Meta.Sampled,
-					entry.Meta.TimingWindow, entry.Meta.FunctionalWindow, entry.Meta.SegmentPeriods,
-					want.Runner, want.Insts, want.Sampled,
-					want.TimingWindow, want.FunctionalWindow, want.SegmentPeriods)
+				return nil, 0, fmt.Errorf("journal: %s was written under %+v; this sweep runs %+v — use a fresh -resume directory",
+					path, *entry.Meta, want)
 			}
 			sawMeta = true
 		case entry.Run != nil && entry.Run.Stats != nil:
@@ -527,7 +532,7 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 		// empty and re-initialize from the magic onward.
 		return nil, -1, nil
 	}
-	recs := make([]RunRecord, 0, len(order))
+	recs = make([]RunRecord, 0, len(order))
 	for _, k := range order {
 		recs = append(recs, byKey[k])
 	}

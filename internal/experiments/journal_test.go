@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,17 @@ import (
 	"mdspec/internal/config"
 	"mdspec/internal/stats"
 )
+
+// testSegment is the segment id the single-writer journal tests own.
+const testSegment = "t0"
+
+// abandon simulates the writer's death (SIGKILL): the heartbeat stops
+// and the file handle drops, but the lease file stays behind.
+func (j *Journal) abandon() {
+	close(j.stopBeat)
+	<-j.beatDone
+	j.f.Close()
+}
 
 // journalRecord fabricates a plausible completed-run record for journal
 // tests without paying for a simulation.
@@ -29,7 +42,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
 
-	j, recs, err := OpenJournal(dir, opt)
+	j, recs, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +63,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := OpenJournal(dir, opt)
+	j2, recs, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +85,7 @@ func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
 
-	j, _, err := OpenJournal(dir, opt)
+	j, _, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +98,7 @@ func TestJournalTornTail(t *testing.T) {
 	j.Close()
 
 	// Tear the tail: chop half of the last frame off.
-	path := filepath.Join(dir, journalName)
+	path := SegmentPath(dir, testSegment)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +108,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := OpenJournal(dir, opt)
+	j2, recs, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +121,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	j2.Close()
 
-	_, recs, err = OpenJournal(dir, opt)
+	recs, err = ReplayJournalDir(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +137,7 @@ func TestJournalChecksumCorruption(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
 
-	j, _, err := OpenJournal(dir, opt)
+	j, _, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +149,7 @@ func TestJournalChecksumCorruption(t *testing.T) {
 	}
 	j.Close()
 
-	path := filepath.Join(dir, journalName)
+	path := SegmentPath(dir, testSegment)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +159,7 @@ func TestJournalChecksumCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := OpenJournal(dir, opt)
+	j2, recs, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +174,13 @@ func TestJournalChecksumCorruption(t *testing.T) {
 // replayed into the wrong sweep.
 func TestJournalMetaMismatch(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, Options{Insts: 1000})
+	j, _, err := OpenJournalSegment(dir, testSegment, Options{Insts: 1000}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
 
-	_, _, err = OpenJournal(dir, Options{Insts: 2000})
+	_, _, err = OpenJournalSegment(dir, testSegment, Options{Insts: 2000}, 0)
 	if err == nil {
 		t.Fatal("journal with mismatched insts accepted")
 	}
@@ -175,9 +188,29 @@ func TestJournalMetaMismatch(t *testing.T) {
 		t.Errorf("mismatch error should tell the user what to do: %v", err)
 	}
 
-	_, _, err = OpenJournal(dir, Options{Insts: 1000, Sampled: true, TimingWindow: 500})
+	_, _, err = OpenJournalSegment(dir, testSegment, Options{Insts: 1000, Sampled: true, TimingWindow: 500}, 0)
 	if err == nil {
 		t.Fatal("journal with mismatched sampling accepted")
+	}
+
+	// A mismatch in the phase count alone must be visible in the error:
+	// both fingerprints are printed whole.
+	dir = t.TempDir()
+	phased := Options{Insts: 1000, Sampled: true, TimingWindow: 500, FunctionalWindow: 1000, PhaseSampled: true, Phases: 4}
+	j, _, err = OpenJournalSegment(dir, testSegment, phased, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	phased.Phases = 8
+	_, _, err = OpenJournalSegment(dir, testSegment, phased, 0)
+	if err == nil {
+		t.Fatal("journal with mismatched phases accepted")
+	}
+	for _, want := range []string{"Phases:4", "Phases:8"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("phases-only mismatch error lacks %q: %v", want, err)
+		}
 	}
 }
 
@@ -188,7 +221,7 @@ func TestJournalDedup(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
 
-	j, _, err := OpenJournal(dir, opt)
+	j, _, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +236,7 @@ func TestJournalDedup(t *testing.T) {
 	}
 	j.Close()
 
-	_, recs, err := OpenJournal(dir, opt)
+	recs, err := ReplayJournalDir(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,25 +249,27 @@ func TestJournalDedup(t *testing.T) {
 }
 
 // TestJournalRejectsForeignFile: pointing -resume at a directory whose
-// runs.journal is not a journal must fail loudly.
+// runs.journal (or a segment) is not a journal must fail loudly.
 func TestJournalRejectsForeignFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, journalName)
-	if err := os.WriteFile(path, []byte(`{"not":"a journal"}`), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := OpenJournal(dir, Options{Insts: 1000})
-	if err == nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("foreign file accepted or wrong error: %v", err)
+	for _, name := range []string{journalName, "runs." + testSegment + ".journal"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"not":"a journal"}`), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := OpenJournalSegment(dir, testSegment, Options{Insts: 1000}, 0)
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("foreign %s accepted or wrong error: %v", name, err)
+		}
 	}
 }
 
-// writeLease plants a lease file for segment id with the given
-// heartbeat age, as a crashed (or live) foreign owner would leave it.
-func writeLease(t *testing.T, dir, id string, pid int, hbAge time.Duration) {
+// writeLease plants a lease file for segment id, recorded on host with
+// the given heartbeat age, as a crashed (or live) foreign owner would
+// leave it.
+func writeLease(t *testing.T, dir, id, host string, pid int, hbAge time.Duration) {
 	t.Helper()
 	now := time.Now().Add(-hbAge).Unix()
-	data, err := json.Marshal(leaseInfo{Owner: id, PID: pid, AcquiredUnix: now, HeartbeatUnix: now})
+	data, err := json.Marshal(leaseInfo{Owner: id, Host: host, PID: pid, AcquiredUnix: now, HeartbeatUnix: now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +307,8 @@ func TestJournalSegmentLeaseExclusive(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("fresh segment replayed %d records", len(recs))
 	}
-	if got := readLease(t, dir, "w0"); got.Owner != "w0" || got.PID != os.Getpid() {
-		t.Errorf("lease = %+v, want owner w0 pid %d", got, os.Getpid())
+	if got := readLease(t, dir, "w0"); got.Owner != "w0" || got.PID != os.Getpid() || got.Host != thisHost {
+		t.Errorf("lease = %+v, want owner w0 pid %d host %q", got, os.Getpid(), thisHost)
 	}
 
 	_, _, err = OpenJournalSegment(dir, "w0", opt, 0)
@@ -305,13 +340,13 @@ func TestJournalSegmentLeaseExclusive(t *testing.T) {
 }
 
 // TestJournalSegmentStaleLeaseReclaim: a lease whose heartbeat is older
-// than the TTL belongs to a dead writer and must be reclaimed; an
-// unparsable (torn) lease is equally evidence of death.
+// than the TTL belongs to a dead writer and must be reclaimed, from any
+// host; an unparsable (torn) lease is equally evidence of death.
 func TestJournalSegmentStaleLeaseReclaim(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
 
-	writeLease(t, dir, "w0", 99999, time.Hour)
+	writeLease(t, dir, "w0", "elsewhere", os.Getppid(), time.Hour)
 	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
 	if err != nil {
 		t.Fatalf("stale lease not reclaimed: %v", err)
@@ -330,70 +365,83 @@ func TestJournalSegmentStaleLeaseReclaim(t *testing.T) {
 	}
 	j1.Close()
 
-	// A fresh heartbeat, however stale the acquire time, means alive.
-	writeLease(t, dir, "w2", 99999, 0)
+	// A fresh heartbeat from a host whose processes cannot be probed
+	// means alive.
+	writeLease(t, dir, "w2", "elsewhere", 99999, 0)
 	if _, _, err := OpenJournalSegment(dir, "w2", opt, 0); err == nil {
 		t.Fatal("fresh foreign lease was stolen")
 	}
 }
 
-// TestJournalHeartbeat: Heartbeat must rewrite the lease with a fresh
-// liveness timestamp; on the legacy unleased journal it is a no-op.
+// TestJournalHeartbeat: an open Journal keeps re-stamping its lease
+// without being asked, and Close stops the heartbeat for good.
 func TestJournalHeartbeat(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{Insts: 1000}
+	const ttl = 150 * time.Millisecond
 
-	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	j, _, err := OpenJournalSegment(dir, "w0", Options{Insts: 1000}, ttl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	// Age the on-disk lease, then heartbeat: the timestamp must recover.
-	writeLease(t, dir, "w0", os.Getpid(), time.Hour)
-	if err := j.Heartbeat(); err != nil {
+	// Age the on-disk lease: the heartbeat must bring it back.
+	writeLease(t, dir, "w0", thisHost, os.Getpid(), time.Hour)
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Since(time.Unix(readLease(t, dir, "w0").HeartbeatUnix, 0)) > time.Minute {
+		if time.Now().After(deadline) {
+			t.Fatalf("heartbeat did not refresh the lease: %+v", readLease(t, dir, "w0"))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := readLease(t, dir, "w0"); time.Since(time.Unix(got.HeartbeatUnix, 0)) > time.Minute {
-		t.Errorf("heartbeat did not refresh the lease: %+v", got)
-	}
-
-	legacy, _, err := OpenJournal(t.TempDir(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	if err := legacy.Heartbeat(); err != nil {
-		t.Errorf("Heartbeat on unleased journal: %v", err)
+	time.Sleep(3 * ttl)
+	if _, err := os.Stat(leasePath(dir, "w0")); !os.IsNotExist(err) {
+		t.Fatalf("lease present after Close (heartbeat still running?): %v", err)
 	}
 }
 
-// TestBreakLease: the supervisor's force-release (used only after
-// waitpid proves the owner dead) must let a successor reacquire
-// immediately, without waiting out the TTL.
-func TestBreakLease(t *testing.T) {
+// TestJournalDeadOwnerReclaim: a fresh lease is reclaimed at once when
+// it names a certainly-dead process on this host — the state a SIGKILLed
+// writer leaves once its parent has reaped it — but never when it names
+// a live process, or a process on another host.
+func TestJournalDeadOwnerReclaim(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("process liveness is not probed on this platform")
+	}
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
 
-	writeLease(t, dir, "w0", 99999, 0) // fresh: unreclaimable by TTL
-	if _, _, err := OpenJournalSegment(dir, "w0", opt, 0); err == nil {
-		t.Fatal("fresh lease acquired without BreakLease")
-	}
-	if err := BreakLease(dir, "w0"); err != nil {
+	child := exec.Command(os.Args[0], "-test.run=^$")
+	if err := child.Run(); err != nil {
 		t.Fatal(err)
 	}
-	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	dead := child.ProcessState.Pid()
+
+	writeLease(t, dir, "w0", thisHost, dead, 0)
+	j, _, err := OpenJournalSegment(dir, "w0", opt, time.Hour)
 	if err != nil {
-		t.Fatalf("reacquire after BreakLease: %v", err)
+		t.Fatalf("lease of dead pid %d not reclaimed: %v", dead, err)
+	}
+	if got := readLease(t, dir, "w0"); got.PID != os.Getpid() {
+		t.Errorf("reclaimed lease pid = %d, want %d", got.PID, os.Getpid())
 	}
 	j.Close()
 
-	// Breaking a lease that is not there is not an error (the worker
-	// may have released it on a clean exit).
-	if err := BreakLease(dir, "w0"); err != nil {
-		t.Errorf("BreakLease on released lease: %v", err)
-	}
-	if err := BreakLease(dir, "../evil"); err == nil {
-		t.Error("BreakLease accepted a path-escaping id")
+	for name, l := range map[string]struct {
+		host string
+		pid  int
+	}{
+		"live pid":   {thisHost, os.Getppid()},
+		"other host": {"elsewhere", dead},
+		"no host":    {"", dead},
+	} {
+		writeLease(t, dir, "w1", l.host, l.pid, 0)
+		_, _, err := OpenJournalSegment(dir, "w1", opt, time.Hour)
+		var held *ErrLeaseHeld
+		if !errors.As(err, &held) || held.PID != l.pid {
+			t.Errorf("%s: err = %v, want ErrLeaseHeld naming pid %d", name, err, l.pid)
+		}
 	}
 }
 
@@ -409,6 +457,29 @@ func TestJournalSegmentIDValidation(t *testing.T) {
 	}
 }
 
+// writeLegacyJournal leaves recs in dir as a single-file runs.journal,
+// the layout from before journals were segmented: the same file format
+// under the legacy name.
+func writeLegacyJournal(t *testing.T, dir string, opt Options, recs ...RunRecord) {
+	t.Helper()
+	tmp := t.TempDir()
+	j, _, err := OpenJournalSegment(tmp, testSegment, opt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(SegmentPath(tmp, testSegment), filepath.Join(dir, journalName)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReplayJournalDirMerges: the merged replay spans the legacy
 // runs.journal and every segment, deduplicating per cell with the
 // lexically-last copy winning.
@@ -416,16 +487,9 @@ func TestReplayJournalDirMerges(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
 
-	legacy, _, err := OpenJournal(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	shared := journalRecord("126.gcc", nas(config.Naive), 1000)
 	shared.WallSeconds = 1.0
-	if err := legacy.Append(shared); err != nil {
-		t.Fatal(err)
-	}
-	legacy.Close()
+	writeLegacyJournal(t, dir, opt, shared)
 
 	w0, _, err := OpenJournalSegment(dir, "w0", opt, 0)
 	if err != nil {
@@ -464,7 +528,7 @@ func TestReplayJournalDirMerges(t *testing.T) {
 	}
 
 	// A segment under a different fingerprint poisons the whole merge.
-	foreign, _, err := openJournalFile(SegmentPath(dir, "w2"), Options{Insts: 2000}.Fingerprint())
+	foreign, err := openSegmentFile(SegmentPath(dir, "w2"), Options{Insts: 2000}.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,4 +596,59 @@ func TestReplayJournalDirSkipsForeignTornTail(t *testing.T) {
 	if fi.Size() >= torn {
 		t.Errorf("owner reopen did not truncate the torn tail: size %d", fi.Size())
 	}
+}
+
+// FuzzReplayJournal feeds arbitrary bytes to the journal decoder, the
+// parser every segment in a shared journal directory goes through. Any
+// input must yield records or an error, never a panic, and the valid
+// prefix it reports may never extend past the input. The seeds are a
+// segment written through the real Journal, plus its torn and
+// bit-flipped variants.
+func FuzzReplayJournal(f *testing.F) {
+	dir := f.TempDir()
+	opt := Options{Insts: 1000}
+	j, _, err := OpenJournalSegment(dir, testSegment, opt, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range []RunRecord{
+		journalRecord("126.gcc", nas(config.Naive), 1000),
+		journalRecord("102.swim", nas(config.Sync), 1000),
+	} {
+		if err := j.Append(rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	seg, err := os.ReadFile(SegmentPath(dir, testSegment))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)-40])
+	flipped := append([]byte(nil), seg...)
+	flipped[len(flipped)-20] ^= 0xFF
+	f.Add(flipped)
+	f.Add([]byte(journalMagic))
+
+	want := opt.Fingerprint()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, validLen, err := decodeJournal("fuzz", data, want)
+		if err != nil {
+			if recs != nil {
+				t.Fatalf("error %v returned alongside %d records", err, len(recs))
+			}
+			return
+		}
+		if validLen > int64(len(data)) {
+			t.Fatalf("valid prefix %d exceeds the %d-byte input", validLen, len(data))
+		}
+		for _, rec := range recs {
+			if rec.Stats == nil {
+				t.Fatalf("replayed a record without stats: %+v", rec)
+			}
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	// "Crashed" sweep: journal only the first half, then abandon the
 	// runner (as SIGKILL would — no flush beyond the per-append fsync).
 	dir := t.TempDir()
-	j1, recs, err := OpenJournal(dir, opt)
+	j1, recs, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestResumeBitIdentical(t *testing.T) {
 
 	// Resume: replay the journal, prime a fresh runner, run the full
 	// sweep. The first half must be served from the journal.
-	j2, recs, err := OpenJournal(dir, opt)
+	j2, recs, err := OpenJournalSegment(dir, testSegment, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	// The resumed sweep journaled its two new cells; a third open must
 	// replay all four.
 	j2.Close()
-	_, recs, err = OpenJournal(dir, opt)
+	recs, err = ReplayJournalDir(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestConcurrentSegmentsCrashRecovery(t *testing.T) {
 
 	// "SIGKILL" w1 mid-append: drop the file handle without releasing
 	// the lease, tear its last frame, and age the lease past any TTL.
-	j1.f.Close()
+	j1.abandon()
 	if err := os.Truncate(seg1, sizes[1]-11); err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +247,69 @@ func TestConcurrentSegmentsCrashRecovery(t *testing.T) {
 	}
 	if len(recs) != 4 {
 		t.Errorf("directory replays %d cells after recovery, want 4", len(recs))
+	}
+}
+
+// TestResumeFromLegacyJournal: a directory journaled in the
+// single-file layout (runs.journal) resumes bit-identically, the legacy
+// file is only read, and the cells the resumed sweep finishes land in
+// the resuming writer's own segment.
+func TestResumeFromLegacyJournal(t *testing.T) {
+	opt := Options{Insts: 6_000, Sampled: true, TimingWindow: 1_000, FunctionalWindow: 2_000}
+	jobs := sweepJobs()
+	ref := runSweep(t, NewRunner(opt), jobs)
+
+	dir := t.TempDir()
+	first := NewRunner(opt)
+	runSweep(t, first, jobs[:2])
+	writeLegacyJournal(t, dir, opt, first.Records()...)
+	legacy := filepath.Join(dir, journalName)
+	before, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	j, recs, err := OpenJournalSegment(dir, "mdexp", opt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optR := opt
+	optR.Journal = j
+	r := NewRunner(optR)
+	if n := r.Prime(recs); n != 2 {
+		t.Fatalf("Prime accepted %d legacy records, want 2", n)
+	}
+	resumed := runSweep(t, r, jobs)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c := r.Counters(); c.Replayed != 2 || c.JobsStarted != 2 {
+		t.Errorf("Replayed = %d, JobsStarted = %d; want 2 replayed from runs.journal and 2 simulated", c.Replayed, c.JobsStarted)
+	}
+	for k, want := range ref {
+		if got := resumed[k]; got == nil || *got != *want {
+			t.Errorf("cell %v differs after resuming a legacy journal:\nref:     %+v\nresumed: %+v", k, want, got)
+		}
+	}
+
+	after, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Error("resume wrote to the legacy runs.journal")
+	}
+	own, _, err := replayJournal(SegmentPath(dir, "mdexp"), opt.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(own) != 2 {
+		t.Fatalf("resuming segment holds %d cells, want the 2 new ones", len(own))
+	}
+	for i, rec := range own {
+		if jb := jobs[2+i]; rec.Bench != jb.bench || rec.ConfigHash != jb.cfg.Hash() {
+			t.Errorf("segment cell %d = %s/%s, want %s/%s", i, rec.Bench, rec.Config, jb.bench, jb.cfg.Name())
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -181,60 +182,76 @@ func TestExhaustedRetriesAbandonCell(t *testing.T) {
 	}
 }
 
-// TestSampledFallbackSerial: a sampled cell whose interval-parallel
-// attempts keep failing degrades to one serial sampled pass; the run
-// record carries the fallback marker.
+// TestSampledFallbackSerial: a sampled cell whose primary attempts keep
+// failing degrades to one single-worker pass of the same sampled
+// decomposition — a real simulation, without checkpoints — whose
+// statistics equal an unfaulted run of the cell bit for bit, for plain
+// and phase-selected sampling alike. The record carries the fallback
+// marker.
 func TestSampledFallbackSerial(t *testing.T) {
-	r := NewRunner(Options{Insts: 1000, Sampled: true, Retry: retry.Policy{MaxAttempts: 2}})
-	r.sleep = instantSleep
-	var parallelCalls, serialCalls atomic.Int64
-	r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-		parallelCalls.Add(1)
-		return nil, &parsim.PanicError{Segment: 3, Value: "engine fault"}
-	}
-	r.simSerial = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-		serialCalls.Add(1)
-		return okRun(bench, cfg), nil
-	}
+	const bench = "102.swim"
+	cfg := nas(config.Sync)
+	phased := ckptOpt()
+	phased.PhaseSampled = true
+	phased.Phases = 2
+	for name, opt := range map[string]Options{"sampled": ckptOpt(), "phases": phased} {
+		t.Run(name, func(t *testing.T) {
+			opt.Retry = retry.Policy{MaxAttempts: 2}
+			want, err := NewRunner(opt).Run(bg, bench, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	res, err := r.Run(bg, "126.gcc", nas(config.Naive))
-	if err != nil {
-		t.Fatalf("fallback should rescue the cell: %v", err)
-	}
-	if res == nil || parallelCalls.Load() != 2 || serialCalls.Load() != 1 {
-		t.Fatalf("parallel=%d serial=%d, want 2 failed parallel attempts then 1 serial", parallelCalls.Load(), serialCalls.Load())
-	}
-	recs := r.Records()
-	if len(recs) != 1 || recs[0].Fallback != FallbackSerialSampled || recs[0].Attempts != 3 {
-		t.Errorf("record = %+v, want Fallback=%q Attempts=3", recs[0], FallbackSerialSampled)
-	}
-	if len(r.Abandoned()) != 0 {
-		t.Errorf("rescued cell listed as abandoned: %v", r.Abandoned())
+			r := NewRunner(opt)
+			r.sleep = instantSleep
+			var primaryCalls atomic.Int64
+			r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+				primaryCalls.Add(1)
+				return nil, &parsim.PanicError{Segment: 3, Value: "engine fault"}
+			}
+			got, err := r.Run(bg, bench, cfg)
+			if err != nil {
+				t.Fatalf("fallback should rescue the cell: %v", err)
+			}
+			if primaryCalls.Load() != 2 {
+				t.Fatalf("primary attempts = %d, want 2 before the fallback", primaryCalls.Load())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("fallback stats differ from the unfaulted run:\ngot:  %+v\nwant: %+v", *got, *want)
+			}
+			recs := r.Records()
+			if len(recs) != 1 || recs[0].Fallback != FallbackSingleWorker || recs[0].Attempts != 3 {
+				t.Errorf("record = %+v, want Fallback=%q Attempts=3", recs[0], FallbackSingleWorker)
+			}
+			if len(r.Abandoned()) != 0 {
+				t.Errorf("rescued cell listed as abandoned: %v", r.Abandoned())
+			}
+		})
 	}
 }
 
-// TestSampledFallbackAlsoFails: when the serial fallback fails too, the
-// error names both causes and the cell is abandoned.
+// TestSampledFallbackAlsoFails: when the single-worker fallback fails
+// too, the error names both causes and the cell is abandoned.
 func TestSampledFallbackAlsoFails(t *testing.T) {
 	r := NewRunner(Options{Insts: 1000, Sampled: true, Retry: retry.Policy{MaxAttempts: 1}})
 	r.sleep = instantSleep
 	r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
 		return nil, &parsim.PanicError{Segment: 0, Value: "engine fault"}
 	}
-	r.simSerial = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-		return nil, errors.New("serial fault")
+	r.simFallback = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		return nil, errors.New("fallback fault")
 	}
 
 	_, err := r.Run(bg, "126.gcc", nas(config.Naive))
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if !strings.Contains(err.Error(), "serial fallback also failed") {
+	if !strings.Contains(err.Error(), "single-worker fallback also failed") {
 		t.Errorf("error should name the fallback failure: %v", err)
 	}
 	ab := r.Abandoned()
 	if len(ab) != 1 || ab[0].Attempts != 2 {
-		t.Fatalf("Abandoned() = %+v, want one entry with 2 attempts (1 parallel + 1 serial)", ab)
+		t.Fatalf("Abandoned() = %+v, want one entry with 2 attempts (1 primary + 1 fallback)", ab)
 	}
 }
 

@@ -91,8 +91,8 @@ type Options struct {
 	// Journal, when set, is the sweep's crash-safe checkpoint store:
 	// every completed run is appended (and fsynced) as it finishes, and
 	// cells primed from a replayed journal are served from the memo
-	// cache without re-simulation. Open one with OpenJournal and seed
-	// the runner with Prime.
+	// cache without re-simulation. Open one with OpenJournalSegment and
+	// seed the runner with Prime.
 	Journal *Journal
 	// Hooks receives progress callbacks (all fields optional).
 	Hooks Hooks
@@ -259,11 +259,11 @@ type Runner struct {
 
 	// sim is the simulation implementation; tests substitute stubs to
 	// exercise singleflight, cancellation and error aggregation without
-	// paying for real simulations. simSerial is the graceful-degradation
-	// backend: the serial sampled run a cell falls back to when the
-	// interval-parallel engine keeps failing transiently.
-	sim       func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error)
-	simSerial func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error)
+	// paying for real simulations. simFallback is the graceful-degradation
+	// backend: the single-worker sampled run a cell falls back to when the
+	// primary engine keeps failing transiently.
+	sim         func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error)
+	simFallback func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error)
 
 	// sleep waits out a retry backoff (tests substitute an instant
 	// stub); the schedule itself is deterministic, see internal/retry.
@@ -312,7 +312,7 @@ func NewRunner(opt Options) *Runner {
 		sem:        parsim.NewSem(opt.parallel()),
 	}
 	r.sim = r.simulate
-	r.simSerial = r.simulateSerialSampled
+	r.simFallback = r.simulateSingleWorker
 	r.sleep = func(ctx context.Context, d time.Duration) error {
 		if d <= 0 {
 			return ctx.Err()
@@ -353,8 +353,9 @@ func (r *Runner) Counters() Counters {
 }
 
 // Abandoned returns a copy of the cells this runner gave up on after
-// exhausting retries (and, for sampled cells, the serial fallback).
-// They are the partial-results envelope's "what is missing" list.
+// exhausting retries (and, for sampled cells, the single-worker
+// fallback). They are the partial-results envelope's "what is missing"
+// list.
 func (r *Runner) Abandoned() []AbandonedCell {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -690,64 +691,53 @@ func (r *Runner) buildPhasePlan(bench string) []ckpt.WeightedSegment {
 // budget (split-window machines fall back to a full timing run —
 // sampling needs a continuous window).
 func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+	return r.simulateWith(ctx, bench, cfg, false)
+}
+
+// simulateSingleWorker is the graceful-degradation backend for sampled
+// cells: the same sampled decomposition and phase selection as
+// simulate, run by one worker with no shared semaphore and no
+// checkpoints — none of the concurrency or warm-state machinery that
+// kept failing. Segment results do not depend on the worker count or
+// on checkpoint use, so its statistics are bit-identical to the
+// primary engine's; it is only slower.
+func (r *Runner) simulateSingleWorker(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+	return r.simulateWith(ctx, bench, cfg, true)
+}
+
+func (r *Runner) simulateWith(ctx context.Context, bench string, cfg config.Machine, singleWorker bool) (*stats.Run, error) {
 	rec, err := r.recording(bench)
 	if err != nil {
 		return nil, err
 	}
+	var res *stats.Run
 	if r.opt.Sampled && !cfg.SplitWindow {
 		popt := parsim.Options{
 			TotalTiming:     r.opt.Insts,
 			TimingInsts:     r.opt.timingWindow(),
 			FunctionalInsts: r.opt.functionalWindow(),
 			SegmentPeriods:  r.opt.SegmentPeriods,
-			Sem:             r.sem,
-			Checkpoints:     r.checkpointSet(bench, cfg),
+		}
+		if singleWorker {
+			popt.Workers = 1
+		} else {
+			popt.Sem = r.sem
+			popt.Checkpoints = r.checkpointSet(bench, cfg)
 		}
 		if r.opt.PhaseSampled {
 			popt.Select = r.phasePlan(bench)
 		}
-		res, err := parsim.Run(ctx, cfg, rec, popt)
+		if res, err = parsim.Run(ctx, cfg, rec, popt); err != nil {
+			return nil, err
+		}
+	} else {
+		pl, err := core.New(cfg, rec.NewReplay())
 		if err != nil {
 			return nil, err
 		}
-		res.Workload = bench
-		return res, nil
-	}
-	pl, err := core.New(cfg, rec.NewReplay())
-	if err != nil {
-		return nil, err
-	}
-	res, err := pl.Run(r.opt.Insts)
-	if err != nil {
-		return nil, err
-	}
-	res.Workload = bench
-	return res, nil
-}
-
-// simulateSerialSampled is the graceful-degradation backend for sampled
-// cells: one serial sampled pass on a private pipeline, touching none
-// of the interval-parallel machinery that kept failing (checkpoints,
-// phase selection, and segment workers included — a PhaseSampled cell
-// degrades to the full, unweighted serial methodology, which is at
-// least as accurate). Slower and warmed slightly differently than the
-// segmented run (the paper's serial methodology), but it lets the sweep
-// finish the cell instead of abandoning it.
-func (r *Runner) simulateSerialSampled(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rec, err := r.recording(bench)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := core.New(cfg, rec.NewReplay())
-	if err != nil {
-		return nil, err
-	}
-	res, err := pl.RunSampled(r.opt.Insts, r.opt.timingWindow(), r.opt.functionalWindow())
-	if err != nil {
-		return nil, err
+		if res, err = pl.Run(r.opt.Insts); err != nil {
+			return nil, err
+		}
 	}
 	res.Workload = bench
 	return res, nil
@@ -799,9 +789,9 @@ func (r *Runner) runProtected(ctx context.Context, bench string, cfg config.Mach
 // failure, or a degraded success: transient failures are re-attempted
 // up to the retry policy's budget (with its deterministic capped
 // exponential backoff between attempts), and a sampled cell whose
-// interval-parallel runs keep failing falls back to one serial sampled
-// pass. It returns the attempts consumed and the fallback marker for
-// the cell's provenance record.
+// primary runs keep failing falls back to one single-worker pass of the
+// same sampled decomposition. It returns the attempts consumed and the
+// fallback marker for the cell's provenance record.
 func (r *Runner) runWithRecovery(ctx context.Context, bench string, cfg config.Machine, cfgName string) (res *stats.Run, attempts int, fallback string, err error) {
 	pol := r.opt.Retry.WithDefaults()
 	for {
@@ -828,11 +818,11 @@ func (r *Runner) runWithRecovery(ctx context.Context, bench string, cfg config.M
 	}
 	if r.opt.Sampled && !cfg.SplitWindow {
 		attempts++
-		fres, ferr := r.runProtected(ctx, bench, cfg, cfgName, r.simSerial)
+		fres, ferr := r.runProtected(ctx, bench, cfg, cfgName, r.simFallback)
 		if ferr == nil {
-			return fres, attempts, FallbackSerialSampled, nil
+			return fres, attempts, FallbackSingleWorker, nil
 		}
-		err = fmt.Errorf("%w (serial fallback also failed: %v)", err, ferr)
+		err = fmt.Errorf("%w (single-worker fallback also failed: %v)", err, ferr)
 	}
 	return nil, attempts, "", err
 }
@@ -1021,14 +1011,14 @@ func (r *Runner) RunWithSource(ctx context.Context, bench string, cfg config.Mac
 type SimulateFunc func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error)
 
 // UseBackend replaces the runner's simulation backend — both the
-// primary engine and the sampled serial fallback — while keeping the
-// memo cache, singleflight dedup, journal priming, hooks and counters
-// in front of it. mdexp -server uses it to point experiments at a
+// primary engine and the sampled single-worker fallback — while keeping
+// the memo cache, singleflight dedup, journal priming, hooks and
+// counters in front of it. mdexp -server uses it to point experiments at a
 // remote mdserve daemon instead of simulating locally. Call it before
 // the first Run; it is not safe to swap backends mid-sweep.
 func (r *Runner) UseBackend(sim SimulateFunc) {
 	r.sim = sim
-	r.simSerial = sim
+	r.simFallback = sim
 }
 
 // LocalSimulate runs one cell on this process's own simulation engine,

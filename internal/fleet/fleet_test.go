@@ -30,6 +30,7 @@ import (
 	"mdspec/internal/experiments"
 	"mdspec/internal/retry"
 	"mdspec/internal/stats"
+	"mdspec/internal/wire"
 )
 
 func TestMain(m *testing.M) {
@@ -107,7 +108,7 @@ func runStubWorker(socket string, slot int) {
 				select {} // wedge forever; the supervisor's budget kill frees us
 			}
 		}
-		var req runRequest
+		var req wire.RunRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -118,7 +119,7 @@ func runStubWorker(socket string, slot int) {
 		st := fakeStats(req.Bench, req.Config)
 		rec := experiments.NewRunRecord(req.Bench, req.Config, 0, time.Millisecond, st)
 		served.Add(1)
-		json.NewEncoder(w).Encode(runResponse{Record: rec, Source: experiments.SourceSimulated})
+		json.NewEncoder(w).Encode(wire.RunResponse{Record: rec, Source: experiments.SourceSimulated})
 	})
 	ln, err := net.Listen("unix", socket)
 	if err != nil {
@@ -361,39 +362,6 @@ func TestFleetClosedPool(t *testing.T) {
 	}
 	if _, err := p.Simulate(ctx, "late", config.Default128()); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("Simulate on closed pool = %v, want ErrPoolClosed", err)
-	}
-}
-
-// The wire structs restate internal/server's JSON contract (fleet
-// cannot import server); this pins the field names so a protocol
-// rename cannot silently desynchronize them.
-func TestWireFormatMatchesServerProtocol(t *testing.T) {
-	req := runRequest{Bench: "b", Config: config.Default128()}
-	b, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"bench", "config"} {
-		if _, ok := m[k]; !ok {
-			t.Errorf("runRequest JSON missing %q (server.RunRequest contract)", k)
-		}
-	}
-	rec := experiments.NewRunRecord("b", config.Default128(), 0, time.Millisecond, fakeStats("b", config.Default128()))
-	rb, err := json.Marshal(runResponse{Record: rec, Source: experiments.SourceSimulated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(rb, &m); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"record", "source"} {
-		if _, ok := m[k]; !ok {
-			t.Errorf("runResponse JSON missing %q (server.RunResponse contract)", k)
-		}
 	}
 }
 

@@ -12,35 +12,14 @@ import (
 
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
+	"mdspec/internal/wire"
 )
 
 // The control channel between the supervisor and its worker processes
 // is plain HTTP over a per-worker unix socket: each worker is a full
 // mdserve server (cmd/mdserve -worker) listening on its socket, and
 // the supervisor drives it through the same /v1/runs and /v1/healthz
-// endpoints a network client would use. The request/response structs
-// below mirror internal/server's wire format field for field; fleet
-// cannot import internal/server (the server imports fleet for health
-// and metrics reporting), so the JSON contract is restated here and
-// pinned by the round-trip tests.
-
-// runRequest mirrors server.RunRequest.
-type runRequest struct {
-	Bench  string                   `json:"bench"`
-	Config config.Machine           `json:"config"`
-	Meta   *experiments.Fingerprint `json:"meta,omitempty"`
-}
-
-// runResponse mirrors server.RunResponse.
-type runResponse struct {
-	Record experiments.RunRecord `json:"record"`
-	Source experiments.RunSource `json:"source"`
-}
-
-// errorResponse mirrors server.ErrorResponse's error field.
-type errorResponse struct {
-	Error string `json:"error"`
-}
+// endpoints, with the same internal/wire types, a network client uses.
 
 // socketClient returns an HTTP client pinned to one unix socket; the
 // request URL's host is a placeholder.
@@ -69,7 +48,7 @@ func (e *permanentError) Unwrap() error { return e.err }
 // answer (transport failure, overload, truncated response) and the
 // cell may be re-dispatched.
 func postRun(ctx context.Context, hc *http.Client, bench string, cfg config.Machine, meta *experiments.Fingerprint) (*experiments.RunRecord, experiments.RunSource, error) {
-	body, err := json.Marshal(runRequest{Bench: bench, Config: cfg, Meta: meta})
+	body, err := json.Marshal(wire.RunRequest{Bench: bench, Config: cfg, Meta: meta})
 	if err != nil {
 		return nil, "", &permanentError{fmt.Errorf("fleet: encoding cell: %w", err)}
 	}
@@ -85,7 +64,7 @@ func postRun(ctx context.Context, hc *http.Client, bench string, cfg config.Mach
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<10))
-		var er errorResponse
+		var er wire.ErrorResponse
 		errText := strings.TrimSpace(string(msg))
 		if json.Unmarshal(msg, &er) == nil && er.Error != "" {
 			errText = er.Error
@@ -99,7 +78,7 @@ func postRun(ctx context.Context, hc *http.Client, bench string, cfg config.Mach
 		}
 		return nil, "", werr
 	}
-	var rr runResponse
+	var rr wire.RunResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		return nil, "", fmt.Errorf("fleet: decoding worker response: %w", err)
 	}

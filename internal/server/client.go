@@ -15,6 +15,7 @@ import (
 	"mdspec/internal/experiments"
 	"mdspec/internal/retry"
 	"mdspec/internal/stats"
+	"mdspec/internal/wire"
 )
 
 // Client talks to an mdserve daemon. Its Run method has the
@@ -83,7 +84,7 @@ func retryAfter(resp *http.Response) time.Duration {
 // decodeError turns a non-2xx response into a descriptive error.
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	var er ErrorResponse
+	var er wire.ErrorResponse
 	if json.Unmarshal(body, &er) == nil && er.Error != "" {
 		if er.Server != nil {
 			return fmt.Errorf("mdserve: %s (HTTP %d); the daemon serves %+v — restart it with matching -n/-sampled flags or adjust yours", er.Error, resp.StatusCode, *er.Server)
@@ -133,7 +134,7 @@ func (c *Client) Run(ctx context.Context, bench string, cfg config.Machine) (*st
 // retried on the deterministic backoff schedule, honoring the
 // server's Retry-After hint when it is longer than the backoff.
 func (c *Client) RunWithSource(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, experiments.RunSource, error) {
-	body, err := json.Marshal(RunRequest{Bench: bench, Config: cfg, Meta: &c.meta})
+	body, err := json.Marshal(wire.RunRequest{Bench: bench, Config: cfg, Meta: &c.meta})
 	if err != nil {
 		return nil, "", err
 	}
@@ -171,7 +172,7 @@ func (c *Client) runOnce(ctx context.Context, body []byte, bench string, cfg con
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", -1, decodeError(resp)
 	}
-	var rr RunResponse
+	var rr wire.RunResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		return nil, "", -1, fmt.Errorf("mdserve: decoding run response: %w", err)
 	}

@@ -17,6 +17,7 @@ import (
 	"mdspec/internal/experiments"
 	"mdspec/internal/fleet"
 	"mdspec/internal/stats"
+	"mdspec/internal/wire"
 )
 
 // saturate fills a Workers=1/QueueDepth=1 server: one cell occupies
@@ -24,7 +25,7 @@ import (
 // further single-cell request is refused with 503.
 // firePost submits a cell from a goroutine (raw http.Post: t.Fatal is
 // off-limits off the test goroutine; errors surface as test timeouts).
-func firePost(ts string, req RunRequest) {
+func firePost(ts string, req wire.RunRequest) {
 	body, _ := json.Marshal(req)
 	go func() {
 		resp, err := http.Post(ts+"/v1/runs", "application/json", bytes.NewReader(body))
@@ -36,9 +37,9 @@ func firePost(ts string, req RunRequest) {
 
 func saturate(t *testing.T, ts string, s *Server, release chan struct{}, entered chan struct{}) {
 	t.Helper()
-	firePost(ts, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
+	firePost(ts, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
 	<-entered // worker occupied
-	firePost(ts, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Naive)})
+	firePost(ts, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Naive)})
 	deadline := time.Now().Add(5 * time.Second)
 	for s.sched.queue().Depth == 0 {
 		if time.Now().After(deadline) {
@@ -205,7 +206,7 @@ func TestCloseTimeoutSnapshotsStuckCells(t *testing.T) {
 	defer close(release)
 	s, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 1}, sim)
 
-	firePost(ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
+	firePost(ts.URL, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
 	<-entered
 
 	start := time.Now()

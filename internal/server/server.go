@@ -12,6 +12,7 @@ import (
 
 	"mdspec/internal/experiments"
 	"mdspec/internal/fleet"
+	"mdspec/internal/wire"
 	"mdspec/internal/workload"
 )
 
@@ -180,7 +181,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+	writeJSON(w, status, wire.ErrorResponse{Error: err.Error()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -238,7 +239,7 @@ func (s *Server) checkMeta(w http.ResponseWriter, meta *experiments.Fingerprint)
 	if meta == nil || *meta == s.fp {
 		return true
 	}
-	writeJSON(w, http.StatusConflict, ErrorResponse{
+	writeJSON(w, http.StatusConflict, wire.ErrorResponse{
 		Error:  fmt.Sprintf("provenance mismatch: request %+v, server %+v", *meta, s.fp),
 		Server: &s.fp,
 	})
@@ -256,7 +257,7 @@ func checkBench(bench string) error {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
+	var req wire.RunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
@@ -300,7 +301,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.logf("run %s %s: %s in %.3fs", req.Bench, rec.Config, res.src, rec.WallSeconds)
-		writeJSON(w, http.StatusOK, RunResponse{Record: rec, Source: res.src})
+		writeJSON(w, http.StatusOK, wire.RunResponse{Record: rec, Source: res.src})
 	case <-r.Context().Done():
 		// Client gone: the worker will observe the dead context (or
 		// finish and populate the cache for the next caller); nothing

@@ -16,6 +16,7 @@ import (
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
 	"mdspec/internal/stats"
+	"mdspec/internal/wire"
 )
 
 func cfgWith(p config.Policy) config.Machine {
@@ -48,7 +49,7 @@ func newTestServer(t *testing.T, cfg Config, sim experiments.SimulateFunc) (*Ser
 	return s, ts
 }
 
-func postRun(t *testing.T, url string, req RunRequest) (*http.Response, []byte) {
+func postRun(t *testing.T, url string, req wire.RunRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -93,10 +94,10 @@ func TestRunDedupAcrossConcurrentClients(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 4}, sim)
 
-	req := RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
+	req := wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
 	type result struct {
 		status int
-		rr     RunResponse
+		rr     wire.RunResponse
 	}
 	results := make(chan result, 2)
 	var wg sync.WaitGroup
@@ -105,7 +106,7 @@ func TestRunDedupAcrossConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			resp, body := postRun(t, ts.URL, req)
-			var rr RunResponse
+			var rr wire.RunResponse
 			json.Unmarshal(body, &rr)
 			results <- result{resp.StatusCode, rr}
 		}()
@@ -144,7 +145,7 @@ func TestRunDedupAcrossConcurrentClients(t *testing.T) {
 
 	// A repeat after completion is a cache hit and runs nothing.
 	resp, body := postRun(t, ts.URL, req)
-	var rr RunResponse
+	var rr wire.RunResponse
 	json.Unmarshal(body, &rr)
 	if resp.StatusCode != http.StatusOK || rr.Source != experiments.SourceCache {
 		t.Errorf("repeat request: status %d source %q, want 200 cache", resp.StatusCode, rr.Source)
@@ -172,13 +173,13 @@ func TestRunMetaMismatch(t *testing.T) {
 		return fakeStats(bench, cfg), nil
 	})
 	foreign := experiments.Options{Insts: 999_999}.Fingerprint()
-	resp, body := postRun(t, ts.URL, RunRequest{
+	resp, body := postRun(t, ts.URL, wire.RunRequest{
 		Bench: "126.gcc", Config: cfgWith(config.Sync), Meta: &foreign,
 	})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("status = %d, want 409; body: %s", resp.StatusCode, body)
 	}
-	var er ErrorResponse
+	var er wire.ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil || er.Server == nil {
 		t.Fatalf("409 body must carry the server fingerprint: %s", body)
 	}
@@ -189,7 +190,7 @@ func TestRunMetaMismatch(t *testing.T) {
 
 func TestRunRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}}, nil)
-	for name, req := range map[string]RunRequest{
+	for name, req := range map[string]wire.RunRequest{
 		"unknown bench": {Bench: "127.notabench", Config: cfgWith(config.Sync)},
 		"empty config":  {Bench: "126.gcc"},
 	} {
@@ -217,7 +218,7 @@ func TestRunQueueFull(t *testing.T) {
 
 	fire := func(p config.Policy, ch chan<- int) {
 		go func() {
-			resp, _ := postRun(t, ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(p)})
+			resp, _ := postRun(t, ts.URL, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(p)})
 			ch <- resp.StatusCode
 		}()
 	}
@@ -233,7 +234,7 @@ func TestRunQueueFull(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, body := postRun(t, ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Oracle)})
+	resp, body := postRun(t, ts.URL, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Oracle)})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("overload status = %d, want 503; body: %s", resp.StatusCode, body)
 	}
@@ -335,10 +336,10 @@ func TestSweepStreamsSSE(t *testing.T) {
 func TestJournalRestartReprimesCache(t *testing.T) {
 	dir := t.TempDir()
 	opt := experiments.Options{Insts: 2000, Parallel: 2}
-	req := RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
+	req := wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
 
 	// First server lifetime: simulate one real cell, journal it.
-	j, recs, err := experiments.OpenJournal(dir, opt)
+	j, recs, err := experiments.OpenJournalSegment(dir, "sup", opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestJournalRestartReprimesCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first run: status %d: %s", resp.StatusCode, body)
 	}
-	var first RunResponse
+	var first wire.RunResponse
 	if err := json.Unmarshal(body, &first); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestJournalRestartReprimesCache(t *testing.T) {
 	}
 
 	// Second lifetime over the same directory: the cell must replay.
-	j2, recs2, err := experiments.OpenJournal(dir, opt)
+	j2, recs2, err := experiments.OpenJournalSegment(dir, "sup", opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +383,7 @@ func TestJournalRestartReprimesCache(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("replayed run: status %d: %s", resp2.StatusCode, body2)
 	}
-	var second RunResponse
+	var second wire.RunResponse
 	if err := json.Unmarshal(body2, &second); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,7 @@ func TestCloseRefusesNewWork(t *testing.T) {
 	defer ts.Close()
 	s.Close()
 	s.Close() // idempotent
-	resp, body := postRun(t, ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
+	resp, body := postRun(t, ts.URL, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-Close status = %d, want 503; body: %s", resp.StatusCode, body)
 	}
