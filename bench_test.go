@@ -8,6 +8,7 @@ package mdspec
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"mdspec/internal/ckpt"
@@ -337,7 +338,10 @@ func BenchmarkAblationBPred(b *testing.B) {
 // small configuration matrix. All sub-benchmarks replay one shared
 // recording of the dynamic instruction stream, the same way sweep
 // configs share a per-benchmark recording through the runner cache, so
-// the numbers reflect the timing core alone.
+// the numbers reflect the timing core alone. Each iteration is a whole
+// cell — a fresh Pipeline from New to its last commit — so
+// allocs/committed-inst charges pipeline construction too; it is a
+// host-independent count that CI gates on.
 func BenchmarkSimulatorSpeed(b *testing.B) {
 	rec := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
 	matrix := []struct {
@@ -354,7 +358,12 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 	rec.Record(50_000 + int64(matrix[0].cfg.Window) + 4096)
 	for _, m := range matrix {
 		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var simulated int64
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pipe, err := core.New(m.cfg, rec.NewReplay())
 				if err != nil {
@@ -366,6 +375,9 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 				}
 				simulated += res.Committed
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(simulated), "allocs/committed-inst")
 			b.ReportMetric(float64(simulated)/b.Elapsed().Seconds(), "sim-insts/s")
 			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(simulated), "ns/committed-inst")
 			b.ReportMetric(float64(rec.SizeBytes())/float64(rec.Len()), "bytes/inst")

@@ -92,24 +92,38 @@ type btbEntry struct {
 
 // New returns a predictor with cfg (all table sizes must be powers of two).
 func New(cfg Config) *Predictor {
+	n := cfg.TableEntries
+	tables := make([]counter, 3*n)
 	p := &Predictor{
 		cfg:      cfg,
-		bimodal:  make([]counter, cfg.TableEntries),
-		gselect:  make([]counter, cfg.TableEntries),
-		selector: make([]counter, cfg.TableEntries),
+		bimodal:  tables[:n:n],
+		gselect:  tables[n : 2*n : 2*n],
+		selector: tables[2*n:],
 		histMask: uint32(1<<cfg.HistoryBits) - 1,
-		idxMask:  uint32(cfg.TableEntries) - 1,
+		idxMask:  uint32(n) - 1,
 		btb:      make([]btbEntry, cfg.BTBEntries),
 		ras:      make([]uint32, cfg.RASEntries),
 	}
 	// Initialize to weakly taken: loops dominate our workloads and real
 	// predictors warm up fast; this avoids a long cold-start transient.
-	for i := range p.bimodal {
-		p.bimodal[i] = 2
-		p.gselect[i] = 2
-		p.selector[i] = 1
-	}
+	fill(p.bimodal, 2)
+	fill(p.gselect, 2)
+	fill(p.selector, 1)
 	return p
+}
+
+// fill sets every counter in c to v by doubling copies, which run at
+// memmove speed: a machine is built per sweep cell, and initializing
+// the default 192K counters one at a time is a visible share of a
+// short cell.
+func fill(c []counter, v counter) {
+	if len(c) == 0 {
+		return
+	}
+	c[0] = v
+	for n := 1; n < len(c); n *= 2 {
+		copy(c[n:], c[:n])
+	}
 }
 
 func pcIndex(pc uint32) uint32 { return pc >> 2 }

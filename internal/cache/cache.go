@@ -94,9 +94,13 @@ func (s *Stats) MissRate() float64 {
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	cfg        Config
-	next       Level
-	sets       [][]way
+	cfg  Config
+	next Level
+	// ways holds every set's ways in one set-major array: set i is
+	// ways[i*Assoc : (i+1)*Assoc] (see setWays). One allocation per
+	// level instead of one per set keeps cache construction cheap for
+	// the many short-lived machines of a sweep.
+	ways       []way
 	banks      []bank
 	setsPEBank int
 	blockShift uint
@@ -118,19 +122,17 @@ func New(cfg Config, next Level) *Cache {
 	c := &Cache{
 		cfg:        cfg,
 		next:       next,
-		sets:       make([][]way, nSets),
+		ways:       make([]way, nSets*cfg.Assoc),
 		banks:      make([]bank, cfg.Banks),
 		setsPEBank: setsPerBank,
 		blockShift: log2(uint32(cfg.BlockBytes)),
 		bankMask:   uint32(cfg.Banks - 1),
 		setMask:    uint32(setsPerBank - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Assoc)
-	}
-	for i := range c.banks {
-		if cfg.PrimaryMSHRs > 0 {
-			c.banks[i].mshrs = make([]mshr, cfg.PrimaryMSHRs)
+	if n := cfg.PrimaryMSHRs; n > 0 {
+		mshrs := make([]mshr, cfg.Banks*n)
+		for i := range c.banks {
+			c.banks[i].mshrs = mshrs[i*n : (i+1)*n : (i+1)*n]
 		}
 	}
 	return c
@@ -157,6 +159,12 @@ func (c *Cache) bankOf(block uint32) uint32 { return block & c.bankMask }
 func (c *Cache) setOf(block uint32) uint32 {
 	within := (block >> log2(uint32(c.cfg.Banks))) & c.setMask
 	return c.bankOf(block)*uint32(c.setsPEBank) + within
+}
+
+// setWays returns the ways of set i.
+func (c *Cache) setWays(i uint32) []way {
+	a := uint32(c.cfg.Assoc)
+	return c.ways[i*a : (i+1)*a : (i+1)*a]
 }
 
 // lookup returns the way holding block, or nil.
@@ -203,7 +211,7 @@ func (c *Cache) Access(addr uint32, start int64, write bool) int64 {
 	}
 	bk.free = at + 1
 
-	set := c.sets[c.setOf(block)]
+	set := c.setWays(c.setOf(block))
 	if w := c.lookup(set, block); w != nil {
 		w.used = c.clock
 		if w.ready > at {
@@ -291,7 +299,7 @@ func (c *Cache) Warm(addr uint32, write bool) {
 		return
 	}
 	block := c.blockOf(addr)
-	set := c.sets[c.setOf(block)]
+	set := c.setWays(c.setOf(block))
 	if w := c.lookup(set, block); w != nil {
 		w.used = c.clock
 		return

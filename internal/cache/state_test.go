@@ -37,9 +37,9 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 
 	b := src.AppendState(nil)
 	want := cacheHdrBytes*3 +
-		(len(src.I.sets)*src.I.cfg.Assoc+
-			len(src.D.sets)*src.D.cfg.Assoc+
-			len(src.L2.sets)*src.L2.cfg.Assoc)*wayBytes +
+		(src.I.nSets()*src.I.cfg.Assoc+
+			src.D.nSets()*src.D.cfg.Assoc+
+			src.L2.nSets()*src.L2.cfg.Assoc)*wayBytes +
 		mainMemABytes
 	if len(b) != want {
 		t.Fatalf("state length = %d, want %d", len(b), want)

@@ -14,13 +14,13 @@ const iCacheBlockShift = 5
 // up to 4 non-continuous blocks").
 const maxFetchBlocks = 4
 
-// fetch implements the continuous-window front end: instructions are
-// fetched strictly in program order; a mispredicted branch stalls fetch
-// until the branch executes.
 // wrongPathBlockBudget caps how far down the wrong path the front end
 // streams before it would realistically have filled its fetch buffers.
 const wrongPathBlockBudget = 8
 
+// fetch implements the continuous-window front end: instructions are
+// fetched strictly in program order; a mispredicted branch stalls fetch
+// until the branch executes.
 func (p *Pipeline) fetch() {
 	if p.blockedOnBranch != noSeq && p.cfg.WrongPathFetch && p.wrongPathBlocks > 0 {
 		// Pollute the I-cache along the mispredicted path, one block per
@@ -64,16 +64,17 @@ func (p *Pipeline) fetch() {
 				break
 			}
 		}
-		rec := fetchRec{di: *d, seq: p.fetchSeq, ready: p.cycle + int64(p.cfg.FrontEndDepth), isMem: d.Inst.Op.IsMem()}
-		if d.IsBranch() {
+		isBranch := d.IsBranch()
+		if isBranch {
 			if branches == p.cfg.BranchesPerCycle {
 				break
 			}
 			branches++
-			p.predictBranch(d, &rec)
 		}
-		//md:allocok amortized: fetchQ reaches its steady capacity and is reused
-		p.fetchQ = append(p.fetchQ, rec)
+		rec := p.fetchTail(d, p.fetchSeq)
+		if isBranch {
+			p.predictBranch(d, rec)
+		}
 		p.fetchSeq++
 		fetched++
 		p.activity = true
@@ -86,6 +87,33 @@ func (p *Pipeline) fetch() {
 			break
 		}
 	}
+}
+
+// fetchTail appends the record of d, fetched this cycle at sequence
+// number seq, to the fetch queue and returns it. The record is filled
+// in place — every field, since the slot may hold an older record — so
+// fetching copies only the fields dispatch needs, never the whole
+// dynamic instruction. Branch prediction fields start cleared.
+func (p *Pipeline) fetchTail(d *emu.DynInst, seq int64) *fetchRec {
+	n := len(p.fetchQ)
+	if n < cap(p.fetchQ) {
+		p.fetchQ = p.fetchQ[:n+1]
+	} else {
+		//md:allocok amortized: fetchQ reaches its steady capacity and is reused
+		p.fetchQ = append(p.fetchQ, fetchRec{})
+	}
+	rec := &p.fetchQ[n]
+	rec.seq = seq
+	rec.ready = p.cycle + int64(p.cfg.FrontEndDepth)
+	rec.dep1, rec.dep2, rec.prod = d.Dep1Seq, d.Dep2Seq, d.ProducerSeq
+	rec.loadVal, rec.storeVal = d.LoadVal, d.StoreVal
+	rec.pc, rec.addr, rec.nextPC = d.PC, d.Addr, d.NextPC
+	rec.op = d.Inst.Op
+	rec.taken = d.Taken
+	rec.isMem = rec.op.IsMem()
+	rec.bpPred, rec.bpWrong, rec.bpIsCond = false, false, false
+	rec.bpHist, rec.wrongPC = 0, 0
+	return rec
 }
 
 // predictBranch runs the branch predictor for the fetched branch d and
@@ -161,16 +189,17 @@ func (p *Pipeline) fetchSplit() {
 					break
 				}
 			}
-			rec := fetchRec{di: *d, seq: seq, ready: p.cycle + int64(p.cfg.FrontEndDepth), isMem: d.Inst.Op.IsMem(), unit: u}
-			if d.IsBranch() {
+			isBranch := d.IsBranch()
+			if isBranch {
 				if branches == p.cfg.BranchesPerCycle {
 					break
 				}
 				branches++
-				p.predictBranch(d, &rec)
 			}
-			//md:allocok amortized: fetchQ reaches its steady capacity and is reused
-			p.fetchQ = append(p.fetchQ, rec)
+			rec := p.fetchTail(d, seq)
+			if isBranch {
+				p.predictBranch(d, rec)
+			}
 			p.advanceUnitFetch(u, taskSize)
 			fetched++
 			p.activity = true
@@ -286,11 +315,10 @@ func init() {
 //md:hotpath
 //md:soalifecycle robCols
 func (p *Pipeline) dispatchOne(rec *fetchRec) {
-	d := &rec.di
 	s := p.slotIndex(rec.seq)
 	r := &p.rob
 	r.seq[s] = rec.seq
-	m := &opMeta[d.Inst.Op]
+	m := &opMeta[rec.op]
 	f := m.flags
 	if rec.bpPred {
 		f |= fBpPred
@@ -301,7 +329,7 @@ func (p *Pipeline) dispatchOne(rec *fetchRec) {
 	if rec.bpIsCond {
 		f |= fBpIsCond
 	}
-	if d.Taken {
+	if rec.taken {
 		f |= fTaken
 	}
 	isLoad := f&fLoad != 0
@@ -314,17 +342,17 @@ func (p *Pipeline) dispatchOne(rec *fetchRec) {
 	r.memIssue[s] = 0
 	r.memDone[s] = notYet
 	r.couldIssue[s] = notYet
-	r.dep1[s] = d.Dep1Seq
-	r.dep2[s] = d.Dep2Seq
-	r.prod[s] = d.ProducerSeq
+	r.dep1[s] = rec.dep1
+	r.dep2[s] = rec.dep2
+	r.prod[s] = rec.prod
 	r.valueSource[s] = noSeq
 	r.syncOnSeq[s] = noSeq
 	r.specValue[s] = 0
-	r.loadVal[s] = d.LoadVal
-	r.storeVal[s] = d.StoreVal
-	r.pc[s] = d.PC
-	r.addr[s] = d.Addr
-	r.nextPC[s] = d.NextPC
+	r.loadVal[s] = rec.loadVal
+	r.storeVal[s] = rec.storeVal
+	r.pc[s] = rec.pc
+	r.addr[s] = rec.addr
+	r.nextPC[s] = rec.nextPC
 	r.synonym[s] = 0
 	r.bpHist[s] = rec.bpHist
 	if rec.seq >= p.dispatchSeq {

@@ -14,8 +14,9 @@
 //     matching ROB entry, and every in-flight memory op whose address
 //     the hardware knows is present in its table.
 //  2. Calendar-wheel accounting: the ring's event count matches its
-//     buckets, overflow events never point into the drained past, and
-//     scan mode leaves the wheel untouched.
+//     buckets, every arena node is either pending or free, overflow
+//     events never point into the drained past, and scan mode leaves
+//     the wheel untouched.
 //  3. Candidate bitmap: every candidate slot holds a valid entry and
 //     is not simultaneously parked.
 //  4. Parking: waiter lists and parkedOn agree exactly; a parked slot
@@ -24,20 +25,25 @@
 //     pending wheel event to wake them (a missed wakeup is a
 //     livelock).
 //
-// The happy path allocates nothing, so the zero-allocation pin test
-// also passes under -tags mdsan.
+// The happy path allocates nothing once warm (pending events are
+// gathered into a buffer kept in mdsanState), so the zero-allocation pin
+// test also passes under -tags mdsan.
 package core
 
 import "fmt"
 
-// mdsanState is the sanitizer's preallocated scratch: a per-slot stamp
-// of the last cycle an event for the slot was seen pending, used to
-// verify timer-parked slots are wake-covered without allocating.
+// mdsanState is the sanitizer's preallocated scratch: the slots of the
+// calendar's pending events (refilled by sanWheel every step and read
+// by sanParking), and a per-slot stamp of the last cycle an event for
+// the slot was seen pending, used to verify timer-parked slots are
+// wake-covered without allocating.
 type mdsanState struct {
+	pending []int32
 	evStamp []int64
 }
 
 func (m *mdsanState) init(w int) {
+	m.pending = make([]int32, 0, 4*w)
 	m.evStamp = make([]int64, w)
 	for i := range m.evStamp {
 		m.evStamp[i] = -1
@@ -141,12 +147,17 @@ func (p *Pipeline) sanWheel() {
 		}
 		return
 	}
-	n := 0
-	for i := range ev.buckets {
-		n += len(ev.buckets[i])
-	}
+	p.san.pending = ev.appendPending(p.san.pending[:0])
+	n := len(p.san.pending) - len(ev.over)
 	if n != ev.n {
 		panic(fmt.Sprintf("mdsan: wheel count %d != bucket total %d", ev.n, n))
+	}
+	free := 0
+	for i := ev.free; i != nilSlot && free <= len(ev.nodes); i = ev.nodes[i].next {
+		free++
+	}
+	if n+free != len(ev.nodes) {
+		panic(fmt.Sprintf("mdsan: wheel arena leak: %d pending + %d free != %d nodes", n, free, len(ev.nodes)))
 	}
 	for _, e := range ev.over {
 		if e.at <= ev.drained {
@@ -222,13 +233,8 @@ func (p *Pipeline) sanParking() {
 	// Timer-parked slots must have a pending wheel event to wake them:
 	// stamp every slot with a pending event, then require the stamp.
 	st := p.san.evStamp
-	for i := range p.events.buckets {
-		for _, s := range p.events.buckets[i] {
-			st[s] = p.cycle
-		}
-	}
-	for _, e := range p.events.over {
-		st[e.slot] = p.cycle
+	for _, s := range p.san.pending {
+		st[s] = p.cycle
 	}
 	for s := range p.parkedOn {
 		if p.parkedOn[s] == parkTimer && st[s] != p.cycle {

@@ -56,6 +56,14 @@ func TestMdsanDetectsWheelMiscount(t *testing.T) {
 	mustPanicMdsan(t, "wheel count", func() { p.step() })
 }
 
+// TestMdsanDetectsArenaLeak orphans a calendar node — neither in a
+// bucket nor on the free list — and expects the arena accounting check.
+func TestMdsanDetectsArenaLeak(t *testing.T) {
+	p := warmPipeline(t)
+	p.events.nodes = append(p.events.nodes, eventNode{slot: 0, next: nilSlot})
+	mustPanicMdsan(t, "wheel arena leak", func() { p.sanitize() })
+}
+
 // TestMdsanDetectsStaleCandidate plants a candidate bit on a slot that
 // holds no valid entry.
 func TestMdsanDetectsStaleCandidate(t *testing.T) {
@@ -99,13 +107,8 @@ func TestMdsanDetectsLostWakeup(t *testing.T) {
 	// Collect slots that do have pending events, then pick an unparked,
 	// non-candidate slot outside that set.
 	pending := make(map[int32]bool)
-	for i := range p.events.buckets {
-		for _, s := range p.events.buckets[i] {
-			pending[s] = true
-		}
-	}
-	for _, e := range p.events.over {
-		pending[e.slot] = true
+	for _, s := range p.events.appendPending(nil) {
+		pending[s] = true
 	}
 	s := int32(-1)
 	for i := int32(0); i < int32(p.cfg.Window); i++ {

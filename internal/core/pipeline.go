@@ -184,18 +184,30 @@ func (r *robCols) clear(s int32, f uint32) { r.flags[s] &^= f }
 
 const notYet int64 = 1 << 62
 
-// fetchRec is an instruction moving through the front end.
+// fetchRec is an instruction moving through the front end. It carries
+// only the fields of the dynamic instruction that dispatch copies into
+// the window, and no pointers, so the fetch queue is a flat array the
+// garbage collector never scans.
 type fetchRec struct {
-	di       emu.DynInst // decoded at fetch; dispatch reads it without re-decoding
-	seq      int64
-	ready    int64 // dispatchable at this cycle
-	isMem    bool  // decoded at fetch, for the dispatch LSQ check
-	bpHist   uint32
+	seq   int64
+	ready int64 // dispatchable at this cycle
+
+	// From the dynamic instruction (emu.DynInst).
+	dep1, dep2 int64 // register producers (Dep1Seq, Dep2Seq)
+	prod       int64 // architectural producer store (ProducerSeq)
+	loadVal    int64
+	storeVal   int64
+	pc, addr   uint32
+	nextPC     uint32
+	op         isa.Op
+	taken      bool
+
+	isMem    bool // decoded at fetch, for the dispatch LSQ check
 	bpPred   bool
 	bpWrong  bool
 	bpIsCond bool
+	bpHist   uint32
 	wrongPC  uint32 // predicted (wrong) next PC, for wrong-path fetch
-	unit     int    // split-window fetch unit
 }
 
 // Pipeline is one configured simulation instance.
@@ -220,11 +232,12 @@ type Pipeline struct {
 	traceLen    int64 // exact dynamic length, valid once traceEnded
 
 	// fetchQ holds fetched-but-undispatched instructions; the live
-	// records are fetchQ[fetchHead:]. The continuous window consumes the
-	// queue strictly in order, so dispatch advances the cursor instead of
-	// compacting the slice every cycle (fetch records are wide — they
-	// carry the decoded instruction). Split-window dispatch skips stalled
-	// records out of order and still compacts, leaving fetchHead at 0.
+	// records are fetchQ[fetchHead:]. Fetch fills each record in place
+	// at the tail (fetchTail). The continuous window consumes the queue
+	// strictly in order, so dispatch advances the cursor instead of
+	// compacting the slice every cycle. Split-window dispatch skips
+	// stalled records out of order and still compacts, leaving fetchHead
+	// at 0.
 	fetchQ    []fetchRec
 	fetchHead int
 
@@ -281,7 +294,7 @@ type Pipeline struct {
 
 	// Event-driven scheduler state. scanMode selects the legacy
 	// full-window scan instead (candidate queues, parking, and the event
-	// heap then stay empty).
+	// calendar then stay empty).
 	scanMode bool
 	cand     candSet    // wakeup candidate slots (iterated in rotated seq order)
 	events   eventWheel // pending completions / postings / corrections
@@ -371,9 +384,10 @@ func New(cfg config.Machine, trace emu.Stream) (*Pipeline, error) {
 		p.parkedOn[i] = parkNone
 		p.wHead[i] = nilSlot
 	}
+	p.fetchQ = make([]fetchRec, 0, w)
 	p.invGen = make([]int64, w)
 	p.invSeq = make([]int64, w)
-	p.events.init()
+	p.events.init(w)
 	p.violScratch = make([]int64, 0, 64)
 	p.san.init(w)
 	switch cfg.Policy {

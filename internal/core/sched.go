@@ -11,14 +11,17 @@ import "math/bits"
 //     candidate queues.
 //   - addrTable: an intrusive hash table over window slots, replacing
 //     the map[uint32][]int64 address maps used for memory disambiguation.
-//   - eventHeap: the pending-completion min-heap that drives wakeups and
-//     the next-event cycle skip.
+//   - eventWheel: the calendar of pending completions (per-cycle FIFO
+//     buckets over a recycled node arena) that drives wakeups and the
+//     next-event cycle skip.
 //   - the parking machinery: blocked instructions wait on their
 //     producer's slot (or on a timed event) instead of being rescanned
 //     every cycle.
 //
-// Everything is sized to the window at construction; the steady-state
-// simulation loop performs no allocation.
+// Everything is sized to the window at construction, except the
+// calendar's node arena, which grows to the pending-event population in
+// the first cycles; after that the simulation loop performs no
+// allocation.
 
 const (
 	// nilSlot terminates intrusive links.
@@ -292,23 +295,41 @@ type schedEvent struct {
 // scanned overflow slice. Must be a power of two.
 const wheelHorizon = 4096
 
-// eventWheel is a calendar queue over the near future: the bucket at
-// index c&mask holds the slots whose events fire at cycle c. Pushing
+// eventNode is one pending ring event in the wheel's node arena: the
+// slot it wakes and the next node of its bucket (or of the free list).
+type eventNode struct {
+	slot, next int32
+}
+
+// eventWheel is a calendar queue over the near future: bucket c&mask
+// holds, in push order, the slots whose events fire at cycle c. Pushing
 // and draining are O(1) per event (a binary heap's O(log n) sift was a
 // measurable share of the simulation loop), at the cost of walking
 // empty buckets across skipped cycles — a walk no longer than the skip
-// itself.
+// itself. Buckets are FIFO chains threaded through one node arena with
+// a free list, so a fresh wheel is three flat arrays and the arena,
+// once grown to the pending-event population, is recycled forever.
 type eventWheel struct {
-	mask    int64
-	buckets [][]int32
-	drained int64 // every bucket for a cycle <= drained is empty
-	n       int   // events in the ring
-	over    []schedEvent
+	mask       int64
+	head, tail []int32 // per-bucket chain ends (nilSlot = empty)
+	nodes      []eventNode
+	free       int32 // free-list head in nodes (nilSlot = none)
+	drained    int64 // every bucket for a cycle <= drained is empty
+	n          int   // events in the ring
+	over       []schedEvent
 }
 
-func (w *eventWheel) init() {
+// init sizes the wheel; the window size seeds the arena's capacity.
+func (w *eventWheel) init(window int) {
 	w.mask = wheelHorizon - 1
-	w.buckets = make([][]int32, wheelHorizon)
+	w.head = make([]int32, wheelHorizon)
+	w.tail = make([]int32, wheelHorizon)
+	for i := range w.head {
+		w.head[i] = nilSlot
+		w.tail[i] = nilSlot
+	}
+	w.nodes = make([]eventNode, 0, window)
+	w.free = nilSlot
 	w.drained = -1
 }
 
@@ -318,9 +339,22 @@ func (w *eventWheel) push(at int64, slot int32) {
 		w.over = append(w.over, schedEvent{at, slot})
 		return
 	}
+	i := w.free
+	if i != nilSlot {
+		w.free = w.nodes[i].next
+		w.nodes[i] = eventNode{slot, nilSlot}
+	} else {
+		i = int32(len(w.nodes))
+		//md:allocok amortized: the arena grows to the peak pending-event population, then drained nodes are recycled through the free list
+		w.nodes = append(w.nodes, eventNode{slot, nilSlot})
+	}
 	b := at & w.mask
-	//md:allocok amortized: buckets grow to their steady per-cycle depth and are reused
-	w.buckets[b] = append(w.buckets[b], slot)
+	if t := w.tail[b]; t != nilSlot {
+		w.nodes[t].next = i
+	} else {
+		w.head[b] = i
+	}
+	w.tail[b] = i
 	w.n++
 }
 
@@ -332,7 +366,7 @@ func (w *eventWheel) next(from int64) int64 {
 	t := notYet
 	if w.n > 0 {
 		for c := from; c <= w.drained+wheelHorizon; c++ {
-			if len(w.buckets[c&w.mask]) > 0 {
+			if w.head[c&w.mask] != nilSlot {
 				t = c
 				break
 			}
@@ -346,9 +380,29 @@ func (w *eventWheel) next(from int64) int64 {
 	return t
 }
 
+// appendPending appends the slot of every pending event — ring buckets
+// in index order, then the overflow list — to buf and returns it. It is
+// the one way checks and tests enumerate the calendar. A bucket walk is
+// cut off after len(nodes) steps, so a corrupted (cyclic) chain shows
+// up as a miscount instead of a hang.
+func (w *eventWheel) appendPending(buf []int32) []int32 {
+	for b := range w.head {
+		for i, steps := w.head[b], 0; i != nilSlot && steps <= len(w.nodes); i, steps = w.nodes[i].next, steps+1 {
+			//md:allocok amortized: callers keep buf and reuse its capacity
+			buf = append(buf, w.nodes[i].slot)
+		}
+	}
+	for _, e := range w.over {
+		//md:allocok amortized: callers keep buf and reuse its capacity
+		buf = append(buf, e.slot)
+	}
+	return buf
+}
+
 // schedule records that the uop in slot s reaches a scheduling-relevant
 // state at cycle at. In scan mode no events are consumed, so none are
-// produced (the heap would otherwise grow without bound).
+// produced (undrained events would otherwise pile up in the calendar
+// without bound).
 func (p *Pipeline) schedule(at int64, s int32) {
 	if p.scanMode {
 		return
@@ -429,15 +483,20 @@ func (p *Pipeline) processWakeups() {
 	w := &p.events
 	for c := w.drained + 1; c <= p.cycle; c++ {
 		b := c & w.mask
-		bk := w.buckets[b]
-		if len(bk) == 0 {
+		i := w.head[b]
+		if i == nilSlot {
 			continue
 		}
-		w.n -= len(bk)
-		for _, s := range bk {
+		w.head[b], w.tail[b] = nilSlot, nilSlot
+		for i != nilSlot {
+			nd := &w.nodes[i]
+			s, nx := nd.slot, nd.next
+			nd.next = w.free
+			w.free = i
+			w.n--
 			p.wake(s)
+			i = nx
 		}
-		w.buckets[b] = bk[:0]
 	}
 	w.drained = p.cycle
 	if len(w.over) > 0 {

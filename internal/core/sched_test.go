@@ -177,9 +177,10 @@ func TestAddrMapsMirrorROBUnderSquashStorms(t *testing.T) {
 }
 
 // TestStepZeroAllocSteadyState holds the event-driven core to zero
-// allocations per cycle once warm: all scheduling state (wheel buckets,
-// waiter lists, candidate bitmap, address maps) reuses its backing
-// storage, and the shared recording serves reads without copying.
+// allocations per cycle once warm: all scheduling state (the calendar's
+// node arena, waiter lists, candidate bitmap, address maps) reuses its
+// backing storage, and the shared recording serves reads without
+// copying.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	rec := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
 	cfgs := []struct {
@@ -200,6 +201,46 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 			}
 			if avg := testing.AllocsPerRun(2000, func() { pl.step() }); avg != 0 {
 				t.Errorf("steady-state step allocates %.2f times per cycle, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestNewRunAllocBound holds a whole cell — a fresh Pipeline from New
+// to its last commit — to a small, fixed number of allocations. A sweep
+// builds hundreds of short-lived pipelines, so per-set cache ways,
+// per-bucket calendar slices or a fetch queue grown from nil would
+// dominate the cell; TestStepZeroAllocSteadyState cannot see any of
+// that because it measures only after a long warm-up.
+func TestNewRunAllocBound(t *testing.T) {
+	const insts, maxMallocs = 30_000, 256
+	rec := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
+	rec.Record(insts + 4096) // replay never extends the shared recording
+	cfgs := []struct {
+		name string
+		cfg  config.Machine
+	}{
+		{"NAS/NO", config.Default128().WithPolicy(config.NoSpec)},
+		{"NAS/SYNC", config.Default128().WithPolicy(config.Sync)},
+		{"AS/NAIVE", config.Default128().WithPolicy(config.Naive).WithAddressScheduler(1)},
+		{"AS/NAIVE/split4", config.Default128().WithPolicy(config.Naive).WithAddressScheduler(0).WithSplitWindow(4)},
+	}
+	for _, tc := range cfgs {
+		t.Run(tc.name, func(t *testing.T) {
+			var runErr error
+			mallocs := testing.AllocsPerRun(1, func() {
+				pl, err := New(tc.cfg, rec.NewReplay())
+				if err == nil {
+					_, err = pl.Run(insts)
+				}
+				runErr = err
+			})
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			t.Logf("New+Run(%d): %.0f mallocs", insts, mallocs)
+			if mallocs > maxMallocs {
+				t.Errorf("New+Run(%d) made %.0f mallocs, want at most %d", insts, mallocs, maxMallocs)
 			}
 		})
 	}

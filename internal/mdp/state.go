@@ -29,27 +29,22 @@ const entryKeyBytes = 4 + 1 + 8
 
 // appendTable flattens t; val encodes one entry value.
 func appendTable[T any](b []byte, t *table[T], val func([]byte, T) []byte) []byte {
-	assoc := 0
-	if len(t.sets) > 0 {
-		assoc = len(t.sets[0])
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.sets)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(assoc))
+	b = binary.LittleEndian.AppendUint32(b, uint32(t.nSets()))
+	b = binary.LittleEndian.AppendUint32(b, t.assoc)
 	b = binary.LittleEndian.AppendUint64(b, uint64(t.clock))
 	b = binary.LittleEndian.AppendUint64(b, uint64(t.nextFlush))
 	b = binary.LittleEndian.AppendUint64(b, t.Flushes)
-	for _, set := range t.sets {
-		for i := range set {
-			e := &set[i]
-			b = binary.LittleEndian.AppendUint32(b, e.tag)
-			if e.valid {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-			b = binary.LittleEndian.AppendUint64(b, uint64(e.used))
-			b = val(b, e.val)
+	// Set-major, way within set: the flat array's own order.
+	for i := range t.entries {
+		e := &t.entries[i]
+		b = binary.LittleEndian.AppendUint32(b, e.tag)
+		if e.valid {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
 		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.used))
+		b = val(b, e.val)
 	}
 	return b
 }
@@ -62,15 +57,11 @@ func restoreTable[T any](t *table[T], b []byte, valBytes int, val func([]byte) T
 	if len(b) < tableHdrBytes {
 		return 0, ErrStateTruncated
 	}
-	assoc := 0
-	if len(t.sets) > 0 {
-		assoc = len(t.sets[0])
-	}
-	if int(binary.LittleEndian.Uint32(b)) != len(t.sets) ||
-		int(binary.LittleEndian.Uint32(b[4:])) != assoc {
+	if int(binary.LittleEndian.Uint32(b)) != t.nSets() ||
+		binary.LittleEndian.Uint32(b[4:]) != t.assoc {
 		return 0, ErrStateGeometry
 	}
-	total := tableHdrBytes + len(t.sets)*assoc*(entryKeyBytes+valBytes)
+	total := tableHdrBytes + len(t.entries)*(entryKeyBytes+valBytes)
 	if len(b) < total {
 		return 0, ErrStateTruncated
 	}
@@ -78,16 +69,14 @@ func restoreTable[T any](t *table[T], b []byte, valBytes int, val func([]byte) T
 	t.nextFlush = int64(binary.LittleEndian.Uint64(b[16:]))
 	t.Flushes = binary.LittleEndian.Uint64(b[24:])
 	off := tableHdrBytes
-	for _, set := range t.sets {
-		for i := range set {
-			set[i] = entry[T]{
-				tag:   binary.LittleEndian.Uint32(b[off:]),
-				valid: b[off+4] != 0,
-				used:  int64(binary.LittleEndian.Uint64(b[off+5:])),
-				val:   val(b[off+entryKeyBytes:]), //md:allocok tiny leaf decoder (decodeConfidence/decodeU32): pure byte reads, no allocation
-			}
-			off += entryKeyBytes + valBytes
+	for i := range t.entries {
+		t.entries[i] = entry[T]{
+			tag:   binary.LittleEndian.Uint32(b[off:]),
+			valid: b[off+4] != 0,
+			used:  int64(binary.LittleEndian.Uint64(b[off+5:])),
+			val:   val(b[off+entryKeyBytes:]), //md:allocok tiny leaf decoder (decodeConfidence/decodeU32): pure byte reads, no allocation
 		}
+		off += entryKeyBytes + valBytes
 	}
 	return off, nil
 }

@@ -1,11 +1,15 @@
 package mdp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 )
 
-func TestPredictorStateRoundTrip(t *testing.T) {
+// trainedPredictors returns one of each predictor, trained over the
+// same seeded stream of predictions and violations.
+func trainedPredictors() (*Selective, *StoreBarrier, *MDPT, *StoreSets) {
 	rng := uint64(9)
 	next := func() uint64 {
 		rng ^= rng << 13
@@ -34,6 +38,11 @@ func TestPredictorStateRoundTrip(t *testing.T) {
 		mdpt.LoadSynonym(pc, cycle)
 		ss.SSID(pc2, cycle)
 	}
+	return sel, sb, mdpt, ss
+}
+
+func TestPredictorStateRoundTrip(t *testing.T) {
+	sel, sb, mdpt, ss := trainedPredictors()
 
 	t.Run("selective", func(t *testing.T) {
 		b := sel.AppendState(nil)
@@ -55,6 +64,26 @@ func TestPredictorStateRoundTrip(t *testing.T) {
 		got := NewStoreSets(DefaultTable())
 		roundTrip(t, b, got.RestoreState, ss, got)
 	})
+}
+
+// TestPredictorStateFormatDigest pins the predictors' warm-state byte
+// format (header, set walk order, entry layout) to the digest recorded
+// when this pin was introduced, so a table refactor cannot silently
+// change what detailed-state checkpoints carry.
+func TestPredictorStateFormatDigest(t *testing.T) {
+	const want = "e8ce796cb63046a2177043835408f892879f9a7e7bf328d9668b1cc5eda5e482"
+	sel, sb, mdpt, ss := trainedPredictors()
+	if sel.t.Flushes == 0 {
+		t.Fatal("the training stream must span a periodic flush")
+	}
+	b := sel.AppendState(nil)
+	b = sb.AppendState(b)
+	b = mdpt.AppendState(b)
+	b = ss.AppendState(b)
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("predictor-state digest = %s, want %s (warm-state byte format changed)", got, want)
+	}
 }
 
 func roundTrip(t *testing.T, b []byte, restore func([]byte) (int, error), want, got any) {

@@ -31,9 +31,11 @@ type entry[T any] struct {
 }
 
 // table is a PC-indexed set-associative structure with LRU replacement
-// and lazy periodic flushing.
+// and lazy periodic flushing. Every set's entries live in one set-major
+// array: set i is entries[i*assoc : (i+1)*assoc].
 type table[T any] struct {
-	sets      [][]entry[T]
+	entries   []entry[T]
+	assoc     uint32
 	setMask   uint32
 	clock     int64
 	flushEach int64
@@ -44,34 +46,33 @@ type table[T any] struct {
 
 func newTable[T any](cfg TableConfig) *table[T] {
 	nSets := cfg.Entries / cfg.Assoc
-	t := &table[T]{
-		sets:      make([][]entry[T], nSets),
+	return &table[T]{
+		entries:   make([]entry[T], nSets*cfg.Assoc),
+		assoc:     uint32(cfg.Assoc),
 		setMask:   uint32(nSets - 1),
 		flushEach: cfg.FlushInterval,
 		nextFlush: cfg.FlushInterval,
 	}
-	for i := range t.sets {
-		t.sets[i] = make([]entry[T], cfg.Assoc)
-	}
-	return t
 }
 
 func (t *table[T]) maybeFlush(cycle int64) {
 	if t.flushEach <= 0 || cycle < t.nextFlush {
 		return
 	}
-	for _, set := range t.sets {
-		for i := range set {
-			set[i] = entry[T]{}
-		}
-	}
+	clear(t.entries)
 	t.Flushes++
 	for t.nextFlush <= cycle {
 		t.nextFlush += t.flushEach
 	}
 }
 
-func (t *table[T]) setOf(pc uint32) []entry[T] { return t.sets[(pc>>2)&t.setMask] }
+func (t *table[T]) setOf(pc uint32) []entry[T] {
+	i := (pc >> 2) & t.setMask
+	return t.entries[i*t.assoc : (i+1)*t.assoc : (i+1)*t.assoc]
+}
+
+// nSets returns the table's set count.
+func (t *table[T]) nSets() int { return len(t.entries) / int(t.assoc) }
 
 // get returns the entry for pc, or nil.
 func (t *table[T]) get(pc uint32, cycle int64) *entry[T] {
