@@ -2,8 +2,8 @@
 //
 // Usage:
 //
-//	mdserve [-addr host:port] [-n insts] [-sampled T:F] [-par N]
-//	        [-workers N] [-sched N] [-queue N] [-journal dir]
+//	mdserve [-addr host:port] [-n insts] [-sampled T:F] [-phases N]
+//	        [-par N] [-workers N] [-queue N] [-journal dir]
 //	        [-recdir dir] [-retries N] [-cell-budget d]
 //	        [-drain d] [-drain-timeout d] [-quiet]
 //
@@ -74,9 +74,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8377", "listen address")
 	insts := flag.Int64("n", 150_000, "committed instructions per (benchmark, config) run")
 	sampled := flag.String("sampled", "", "sampled simulation with windows T:F instructions; -n becomes the total timing budget")
-	par := flag.Int("par", 0, "max concurrent simulations (default: GOMAXPROCS)")
+	par := flag.Int("par", 0, "max concurrent simulations, also the scheduler pool size (default: GOMAXPROCS)")
 	procs := flag.Int("workers", 0, "worker processes to fork and supervise (0 = single-process)")
-	sched := flag.Int("sched", 0, "scheduler worker pool size (default: -par)")
 	queue := flag.Int("queue", server.DefaultQueueDepth, "bounded work-queue depth; beyond it requests get 503")
 	journalDir := flag.String("journal", "", "checkpoint directory: journal finished cells and re-prime the cache from it on restart")
 	recDir := flag.String("recdir", "", "recording and warm-state cache directory: mmap per-benchmark columnar recordings and share warmed checkpoint sets across server processes")
@@ -140,7 +139,7 @@ func main() {
 		opt.Journal = journal
 	}
 
-	cfg := server.Config{Options: opt, Workers: *sched, QueueDepth: *queue}
+	cfg := server.Config{Options: opt, QueueDepth: *queue}
 	if !*quiet {
 		cfg.Log = logger
 	}
@@ -171,7 +170,7 @@ func main() {
 			Exec:       exe,
 			Args:       workerArgs(flag.CommandLine, *drain),
 			Dir:        sockDir,
-			Meta:       fingerprintPtr(opt),
+			Options:    opt,
 			CellBudget: *cellBudget,
 			Fallback:   srv.Runner().LocalSimulate,
 			Log:        logger,
@@ -244,9 +243,9 @@ func main() {
 // workerArgs rebuilds this daemon's relevant flags as a worker argv:
 // children inherit the provenance-defining options verbatim (same
 // fingerprint, same journal dir) plus their identity flags. The
-// supervisor-only flags (-workers, -addr, -drain-timeout) are not
-// forwarded; -sched is left to default so each worker sizes its own
-// pool from -par.
+// supervisor-only flags (-workers, -addr, -cell-budget,
+// -drain-timeout) are not forwarded; each worker sizes its scheduler
+// pool from the inherited -par.
 func workerArgs(fs *flag.FlagSet, drain time.Duration) func(slot int, socket string) []string {
 	inherit := []string{"n", "sampled", "par", "queue", "journal", "recdir", "phases", "retries", "quiet"}
 	var base []string
@@ -263,11 +262,6 @@ func workerArgs(fs *flag.FlagSet, drain time.Duration) func(slot int, socket str
 	return func(slot int, socket string) []string {
 		return append([]string{"-worker", "-socket", socket, "-worker-id", fleet.WorkerID(slot)}, base...)
 	}
-}
-
-func fingerprintPtr(opt experiments.Options) *experiments.Fingerprint {
-	fp := opt.Fingerprint()
-	return &fp
 }
 
 func fatal(err error) {

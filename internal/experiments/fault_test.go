@@ -54,6 +54,26 @@ func TestInjectedJobPanicRetried(t *testing.T) {
 	}
 }
 
+// TestLocalSimulateRecoversPanic: the fleet's degraded fallback runs
+// cells in the supervisor through LocalSimulate, so a panicking cell
+// there must come back as a *RunPanicError, not crash the process.
+func TestLocalSimulateRecoversPanic(t *testing.T) {
+	r := NewRunner(Options{Insts: 1000})
+	faultinject.Arm(faultinject.Plan{
+		Site: faultinject.SiteRunnerJob, N: 1, Kind: faultinject.KindPanic,
+	})
+	defer faultinject.Disarm()
+
+	res, err := r.LocalSimulate(bg, "126.gcc", nas(config.Naive))
+	var pe *RunPanicError
+	if !errors.As(err, &pe) || res != nil {
+		t.Fatalf("LocalSimulate = %v, %v; want a *RunPanicError", res, err)
+	}
+	if _, ok := pe.Value.(*faultinject.InjectedPanic); !ok {
+		t.Errorf("panic value = %v, want the injected panic", pe.Value)
+	}
+}
+
 // TestInjectedJournalAppendError: a seeded error at the journal.append
 // site must not fail the cell or the sweep — it surfaces through
 // JournalErr as degraded resumability, and the journal skips only the

@@ -1026,9 +1026,11 @@ func (r *Runner) UseBackend(sim SimulateFunc) {
 // supervisor's graceful-degradation path: when every worker process is
 // down, the pool falls back to in-process execution — today's
 // single-process path — through this method, while the runner's memo
-// cache, journal, and counters in front of the pool stay intact.
+// cache, journal, and counters in front of the pool stay intact. A
+// panic becomes a *RunPanicError, as in every other attempt: the
+// supervisor must outlive the cell it runs in place of a worker.
 func (r *Runner) LocalSimulate(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-	return r.simulate(ctx, bench, cfg)
+	return r.runProtected(ctx, bench, cfg, cfg.Name(), r.simulate)
 }
 
 // RunGuarded is Run behind the runner's parallelism budget: a call

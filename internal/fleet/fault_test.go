@@ -40,7 +40,6 @@ func TestFleetHeartbeatFaultRecyclesWorker(t *testing.T) {
 	var fallbackCalls atomic.Int64
 	cfg := testConfig(t, 1, &fallbackCalls)
 	cfg.HeartbeatEvery = 20 * time.Millisecond
-	cfg.HeartbeatMisses = 2
 	cfg.DegradeAfter = 300 * time.Millisecond
 	p := startPool(t, cfg)
 	sweep(t, p, 4)

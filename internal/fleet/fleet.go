@@ -18,6 +18,14 @@
 // segment via experiments.ReplayJournalDir, so nothing a worker
 // journaled before dying is ever re-simulated.
 //
+// The control channel is plain HTTP over a per-worker unix socket:
+// each worker is a full mdserve server listening on its socket, and
+// the supervisor drives it through server.Client, the same client
+// mdexp -server uses. A worker's HTTP answer is final — its Runner has
+// already taken the cell through the retry ladder a single-process
+// daemon uses — so only "no answer" (a transport failure, a budget
+// kill, a 503 from a draining or full worker) re-dispatches a cell.
+//
 // Dispatch is work-stealing: cells land on the least-loaded live
 // worker's queue, and an idle worker's delivery runners steal from the
 // longest backlog. Cross-process dedup rides on the shared
@@ -53,6 +61,7 @@ import (
 	"mdspec/internal/faultinject"
 	"mdspec/internal/parsim"
 	"mdspec/internal/retry"
+	"mdspec/internal/server"
 	"mdspec/internal/stats"
 )
 
@@ -73,25 +82,18 @@ type Config struct {
 	Args func(slot int, socket string) []string
 	// Dir is where per-worker control sockets are created.
 	Dir string
-	// Meta is the provenance fingerprint stamped on every dispatched
-	// cell; a worker whose tuple diverged refuses it with 409.
-	Meta *experiments.Fingerprint
-	// PerWorker is the delivery concurrency per worker process (how
-	// many cells one worker holds in flight). Default 2.
-	PerWorker int
+	// Options are the supervisor's experiment options: their
+	// provenance fingerprint is stamped on every dispatched cell and
+	// checked against each worker's before it joins dispatch.
+	Options experiments.Options
 	// CellBudget bounds one cell's wall-clock on a worker; on expiry
 	// the worker is presumed wedged, killed, and the cell re-queued.
 	// Zero disables the budget.
 	CellBudget time.Duration
-	// SpawnTimeout bounds how long a freshly forked worker may take to
-	// answer /v1/healthz before it is killed and counted as a failed
-	// spawn. Default 10s.
-	SpawnTimeout time.Duration
 	// HeartbeatEvery is the supervisor's liveness probe period
-	// (default 1s); HeartbeatMisses consecutive failed probes get the
-	// worker SIGKILLed and respawned (default 3).
-	HeartbeatEvery  time.Duration
-	HeartbeatMisses int
+	// (default 1s); heartbeatMisses consecutive failed probes get the
+	// worker SIGKILLed and respawned.
+	HeartbeatEvery time.Duration
 	// DegradeAfter is how long the Pool tolerates zero live workers
 	// before flipping to degraded in-process execution. Default 5s.
 	DegradeAfter time.Duration
@@ -100,47 +102,44 @@ type Config struct {
 	// up on its slot (the delay saturates at Restart.MaxDelay), because
 	// permanent abandonment would silently shrink the fleet.
 	Restart retry.Policy
-	// DispatchAttempts is how many worker deliveries one cell may
-	// consume (crashed worker, transport error, budget kill) before
-	// the Pool stops re-queueing it and completes it through Fallback
-	// instead — a cell that kills every worker it touches must not
-	// orbit forever. Default 5.
-	DispatchAttempts int
 	// Fallback executes a cell in-process when the fleet cannot
 	// (degraded mode, or a cell out of dispatch attempts). Required.
 	Fallback experiments.SimulateFunc
-	// FallbackPar bounds concurrent Fallback executions. Default 2.
-	FallbackPar int
 	// Log receives supervision events; nil means log.Default().
 	Log *log.Logger
 }
+
+const (
+	// perWorker is the delivery concurrency per worker process: how
+	// many cells one worker holds in flight.
+	perWorker = 2
+	// spawnTimeout bounds how long a freshly forked worker may take to
+	// pass its readiness check before it is killed and counted as a
+	// failed spawn; it is also the SIGTERM grace period at shutdown.
+	spawnTimeout = 10 * time.Second
+	// heartbeatMisses consecutive failed liveness probes get a worker
+	// SIGKILLed and respawned.
+	heartbeatMisses = 3
+	// dispatchAttempts is how many "no answer" deliveries (crashed
+	// worker, transport error, budget kill, 503) one cell may consume
+	// before the Pool completes it through Fallback instead: a cell
+	// that kills every worker it touches must not orbit forever.
+	dispatchAttempts = 5
+	// fallbackPar bounds concurrent Fallback executions.
+	fallbackPar = 2
+)
 
 func (c Config) withDefaults() Config {
 	if c.Procs < 1 {
 		c.Procs = 1
 	}
-	if c.PerWorker < 1 {
-		c.PerWorker = 2
-	}
-	if c.SpawnTimeout <= 0 {
-		c.SpawnTimeout = 10 * time.Second
-	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = time.Second
-	}
-	if c.HeartbeatMisses < 1 {
-		c.HeartbeatMisses = 3
 	}
 	if c.DegradeAfter <= 0 {
 		c.DegradeAfter = 5 * time.Second
 	}
 	c.Restart = c.Restart.WithDefaults()
-	if c.DispatchAttempts < 1 {
-		c.DispatchAttempts = 5
-	}
-	if c.FallbackPar < 1 {
-		c.FallbackPar = 2
-	}
 	if c.Log == nil {
 		c.Log = log.Default()
 	}
@@ -160,9 +159,9 @@ type worker struct {
 	slot    int
 	id      string
 	socket  string
-	hc      *http.Client
-	wake    chan struct{} // cap 1: nudges idle delivery runners
-	killReq chan struct{} // cap 1: asks the supervisor to SIGKILL the child
+	client  *server.Client // one attempt per call: the pool's requeue is the only retry loop
+	wake    chan struct{}  // cap 1: nudges idle delivery runners
+	killReq chan struct{}  // cap 1: asks the supervisor to SIGKILL the child
 
 	pid      atomic.Int64
 	restarts atomic.Int64
@@ -184,13 +183,13 @@ type cell struct {
 }
 
 type cellResult struct {
-	rec *experiments.RunRecord
+	st  *stats.Run
 	err error
 }
 
-func (c *cell) finish(rec *experiments.RunRecord, err error) {
+func (c *cell) finish(st *stats.Run, err error) {
 	select {
-	case c.done <- cellResult{rec, err}:
+	case c.done <- cellResult{st, err}:
 	default:
 	}
 }
@@ -241,12 +240,14 @@ func Start(ctx context.Context, cfg Config) (*Pool, error) {
 		cfg:       cfg,
 		ctx:       pctx,
 		cancel:    cancel,
-		fbSem:     parsim.NewSem(cfg.FallbackPar),
+		fbSem:     parsim.NewSem(fallbackPar),
 		queues:    make([][]*cell, cfg.Procs),
 		alive:     make([]bool, cfg.Procs),
 		inflight:  make([]int, cfg.Procs),
 		downSince: time.Now(), // nobody alive yet: the degrade clock starts now
 	}
+	copt := cfg.Options
+	copt.Retry = retry.Policy{MaxAttempts: 1}
 	for slot := 0; slot < cfg.Procs; slot++ {
 		w := &worker{
 			slot:    slot,
@@ -255,13 +256,13 @@ func Start(ctx context.Context, cfg Config) (*Pool, error) {
 			wake:    make(chan struct{}, 1),
 			killReq: make(chan struct{}, 1),
 		}
-		w.hc = socketClient(w.socket)
+		w.client = server.NewClient("unix:"+w.socket, copt)
 		p.workers = append(p.workers, w)
 	}
 	for _, w := range p.workers {
 		p.wg.Add(1)
 		go p.supervise(pctx, w)
-		for i := 0; i < cfg.PerWorker; i++ {
+		for i := 0; i < perWorker; i++ {
 			p.wg.Add(1)
 			go p.runLoop(pctx, w)
 		}
@@ -276,16 +277,6 @@ func Start(ctx context.Context, cfg Config) (*Pool, error) {
 // until a worker (or the degraded fallback) answers, the caller's ctx
 // dies, or the pool closes.
 func (p *Pool) Simulate(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-	rec, err := p.SimulateRecord(ctx, bench, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return rec.Stats, nil
-}
-
-// SimulateRecord is Simulate keeping the worker's full
-// provenance-carrying record.
-func (p *Pool) SimulateRecord(ctx context.Context, bench string, cfg config.Machine) (*experiments.RunRecord, error) {
 	c := &cell{bench: bench, cfg: cfg, ctx: ctx, done: make(chan cellResult, 1)}
 	useFallback, err := p.admit(c)
 	if err != nil {
@@ -298,7 +289,7 @@ func (p *Pool) SimulateRecord(ctx context.Context, bench string, cfg config.Mach
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case r := <-c.done:
-		return r.rec, r.err
+		return r.st, r.err
 	}
 }
 
@@ -455,9 +446,9 @@ func (p *Pool) runLoop(ctx context.Context, w *worker) {
 	}
 }
 
-// deliver runs one cell on worker w and routes the outcome: success
-// and permanent refusals finish the cell; transport failures and
-// budget kills re-queue it until DispatchAttempts is spent, after
+// deliver runs one cell on worker w and routes the outcome: any answer
+// but 503 finishes the cell; no answer (a transport failure, a budget
+// kill, a 503) re-queues it until dispatchAttempts is spent, after
 // which the fallback completes it.
 func (p *Pool) deliver(w *worker, c *cell) {
 	if c.ctx.Err() != nil {
@@ -475,15 +466,15 @@ func (p *Pool) deliver(w *worker, c *cell) {
 		dctx, bcancel = context.WithTimeout(dctx, p.cfg.CellBudget)
 		defer bcancel()
 	}
-	rec, _, err := postRun(dctx, w.hc, c.bench, c.cfg, p.cfg.Meta)
+	st, err := w.client.Run(dctx, c.bench, c.cfg)
 	if err == nil {
 		w.cells.Add(1)
-		c.finish(rec, nil)
+		c.finish(st, nil)
 		return
 	}
-	var perm *permanentError
-	if errors.As(err, &perm) {
-		c.finish(nil, perm.err)
+	var answer *server.StatusError
+	if errors.As(err, &answer) && answer.Code != http.StatusServiceUnavailable {
+		c.finish(nil, err)
 		return
 	}
 	if c.ctx.Err() != nil {
@@ -510,7 +501,7 @@ func (p *Pool) deliver(w *worker, c *cell) {
 		p.markDead(w)
 	}
 	c.attempts++
-	if c.attempts >= p.cfg.DispatchAttempts {
+	if c.attempts >= dispatchAttempts {
 		p.cfg.Log.Printf("fleet: cell %s/%s out of dispatch attempts (%d), completing in-process: %v",
 			c.bench, c.cfg.Name(), c.attempts, err)
 		p.asyncFallback(c)
@@ -561,21 +552,7 @@ func (p *Pool) runFallback(c *cell) {
 	}
 	defer p.fbSem.Release()
 	p.fallbackCells.Add(1)
-	start := time.Now()
-	st, err := p.cfg.Fallback(c.ctx, c.bench, c.cfg)
-	if err != nil {
-		c.finish(nil, err)
-		return
-	}
-	rec := experiments.NewRunRecord(c.bench, c.cfg, instsOf(p.cfg.Meta), time.Since(start), st)
-	c.finish(&rec, nil)
-}
-
-func instsOf(fp *experiments.Fingerprint) int64 {
-	if fp == nil {
-		return 0
-	}
-	return fp.Insts
+	c.finish(p.cfg.Fallback(c.ctx, c.bench, c.cfg))
 }
 
 // degradeWatch flips the pool into degraded mode once the whole fleet
@@ -679,30 +656,10 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// WorkerStatus is one slot's instantaneous state and lifetime
-// counters, exported through /v1/metrics.
-type WorkerStatus struct {
-	ID              string `json:"id"`
-	PID             int    `json:"pid,omitempty"`
-	Alive           bool   `json:"alive"`
-	QueueDepth      int    `json:"queue_depth"`
-	Inflight        int    `json:"inflight"`
-	Cells           int64  `json:"cells"`
-	Steals          int64  `json:"steals"`
-	Restarts        int64  `json:"restarts"`
-	HeartbeatMisses int64  `json:"heartbeat_misses"`
-}
-
-// Report is the fleet's health snapshot: /v1/healthz keys `degraded`
-// off it and /v1/metrics embeds it whole.
-type Report struct {
-	Procs         int            `json:"procs"`
-	Alive         int            `json:"alive"`
-	Degraded      bool           `json:"degraded"`
-	Pending       int            `json:"pending"`
-	FallbackCells int64          `json:"fallback_cells"`
-	Workers       []WorkerStatus `json:"workers"`
-}
+// Report is the fleet's health snapshot. It is an alias kept for the
+// out-of-module benchmark harness (perfbench), which names it; the
+// type itself is server.FleetReport, part of the /v1/metrics contract.
+type Report = server.FleetReport
 
 // Report snapshots the fleet.
 func (p *Pool) Report() Report {
@@ -716,7 +673,7 @@ func (p *Pool) Report() Report {
 		FallbackCells: p.fallbackCells.Load(),
 	}
 	for _, w := range p.workers {
-		r.Workers = append(r.Workers, WorkerStatus{
+		r.Workers = append(r.Workers, server.WorkerStatus{
 			ID:              w.id,
 			PID:             int(w.pid.Load()),
 			Alive:           p.alive[w.slot],
@@ -768,7 +725,6 @@ func (p *Pool) supervise(ctx context.Context, w *worker) {
 		ready, exitedEarly := p.waitReady(ctx, w, exited)
 		if !ready {
 			if !exitedEarly {
-				p.cfg.Log.Printf("fleet: %s (pid %d) not ready within %v", w.id, cmd.Process.Pid, p.cfg.SpawnTimeout)
 				_ = cmd.Process.Kill()
 				<-exited //md:ctxok child was just SIGKILLed; Wait returns promptly
 			}
@@ -833,14 +789,16 @@ func (p *Pool) spawn(w *worker) (*exec.Cmd, error) {
 	return cmd, nil
 }
 
-// waitReady polls the worker's healthz until it answers, exits, or
-// SpawnTimeout expires. exitedEarly reports that the exited channel
-// was consumed (the caller must not wait on it again).
+// waitReady runs the worker's Client.Check (reachable, same
+// provenance tuple) until it passes, the worker exits, or spawnTimeout
+// expires. exitedEarly reports that the exited channel was consumed
+// (the caller must not wait on it again).
 func (p *Pool) waitReady(ctx context.Context, w *worker, exited <-chan error) (ready, exitedEarly bool) {
-	deadline := time.NewTimer(p.cfg.SpawnTimeout)
+	deadline := time.NewTimer(spawnTimeout)
 	defer deadline.Stop()
 	tick := time.NewTicker(25 * time.Millisecond)
 	defer tick.Stop()
+	var checkErr error
 	for {
 		select {
 		case <-ctx.Done():
@@ -849,12 +807,13 @@ func (p *Pool) waitReady(ctx context.Context, w *worker, exited <-chan error) (r
 			p.cfg.Log.Printf("fleet: %s exited before ready: %v", w.id, err)
 			return false, true
 		case <-deadline.C:
+			p.cfg.Log.Printf("fleet: %s (pid %d) not ready within %v: %v", w.id, w.pid.Load(), spawnTimeout, checkErr)
 			return false, false
 		case <-tick.C:
 			pctx, cancel := context.WithTimeout(ctx, time.Second)
-			err := probeHealthz(pctx, w.hc)
+			checkErr = w.client.Check(pctx)
 			cancel()
-			if err == nil {
+			if checkErr == nil {
 				return true, false
 			}
 		}
@@ -873,7 +832,7 @@ func (p *Pool) monitor(ctx context.Context, w *worker, cmd *exec.Cmd, exited <-c
 		case <-ctx.Done():
 			// Graceful drain: SIGTERM, a bounded grace period, then SIGKILL.
 			_ = cmd.Process.Signal(termSignal())
-			grace := time.NewTimer(p.cfg.SpawnTimeout)
+			grace := time.NewTimer(spawnTimeout)
 			defer grace.Stop()
 			select {
 			case <-exited: //md:ctxok the pool is already shutting down; this IS the ctx.Done path
@@ -891,7 +850,7 @@ func (p *Pool) monitor(ctx context.Context, w *worker, cmd *exec.Cmd, exited <-c
 			if err := p.heartbeat(ctx, w); err != nil {
 				misses++
 				w.hbMisses.Add(1)
-				if misses >= p.cfg.HeartbeatMisses {
+				if misses >= heartbeatMisses {
 					p.cfg.Log.Printf("fleet: %s missed %d heartbeats (%v); killing", w.id, misses, err)
 					_ = cmd.Process.Kill()
 				}
@@ -909,5 +868,5 @@ func (p *Pool) heartbeat(ctx context.Context, w *worker) error {
 	}
 	pctx, cancel := context.WithTimeout(ctx, p.cfg.HeartbeatEvery)
 	defer cancel()
-	return probeHealthz(pctx, w.hc)
+	return w.client.Check(pctx)
 }

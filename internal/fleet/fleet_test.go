@@ -3,10 +3,11 @@ package fleet
 // The fleet tests exercise real process supervision: TestMain detects
 // the -fleet-stub-socket flag and turns the re-executed test binary
 // into a stub worker — an HTTP server on the given unix socket that
-// answers /v1/healthz and /v1/runs with deterministic fake stats.
-// Failure modes (crash after N cells, hang on a cell, refuse to start)
-// are selected through FLEET_STUB_* environment variables inherited
-// from the test process, so each test picks its chaos before spawning.
+// answers /v1/options and /v1/runs with deterministic fake stats.
+// Failure modes (crash after N cells, hang on a cell, refuse to start,
+// fail one bench, refuse one cell with 503) are selected through
+// FLEET_STUB_* environment variables inherited from the test process,
+// so each test picks its chaos before spawning.
 
 import (
 	"context"
@@ -20,6 +21,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -29,8 +31,8 @@ import (
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
 	"mdspec/internal/retry"
+	"mdspec/internal/server"
 	"mdspec/internal/stats"
-	"mdspec/internal/wire"
 )
 
 func TestMain(m *testing.M) {
@@ -85,6 +87,9 @@ func runStubWorker(socket string, slot int) {
 		}
 	}
 	hangOnceFile := os.Getenv("FLEET_STUB_HANG_ONCE_FILE")
+	refuseOnceFile := os.Getenv("FLEET_STUB_503_ONCE_FILE")
+	failBench := os.Getenv("FLEET_STUB_FAIL_BENCH")
+	failLog := os.Getenv("FLEET_STUB_FAIL_LOG")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM)
@@ -95,8 +100,9 @@ func runStubWorker(socket string, slot int) {
 
 	var served atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, `{"status":"ok"}`)
+	mux.HandleFunc("/v1/options", func(w http.ResponseWriter, r *http.Request) {
+		// The tests' pools run with zero Options; the fingerprints match.
+		json.NewEncoder(w).Encode(server.OptionsResponse{Fingerprint: experiments.Options{}.Fingerprint()})
 	})
 	mux.HandleFunc("/v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		if crashAfter >= 0 && served.Load() >= int64(crashAfter) {
@@ -108,9 +114,26 @@ func runStubWorker(socket string, slot int) {
 				select {} // wedge forever; the supervisor's budget kill frees us
 			}
 		}
-		var req wire.RunRequest
+		if refuseOnceFile != "" {
+			if _, err := os.Stat(refuseOnceFile); err != nil {
+				os.WriteFile(refuseOnceFile, []byte("refused"), 0o644)
+				w.WriteHeader(http.StatusServiceUnavailable)
+				json.NewEncoder(w).Encode(server.ErrorResponse{Error: "stub: queue full"})
+				return
+			}
+		}
+		var req server.RunRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if req.Bench == failBench {
+			if f, err := os.OpenFile(failLog, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); err == nil {
+				fmt.Fprintln(f, req.Bench)
+				f.Close()
+			}
+			w.WriteHeader(http.StatusInternalServerError)
+			json.NewEncoder(w).Encode(server.ErrorResponse{Error: "stub: cell failed"})
 			return
 		}
 		if slowDelay > 0 {
@@ -119,7 +142,7 @@ func runStubWorker(socket string, slot int) {
 		st := fakeStats(req.Bench, req.Config)
 		rec := experiments.NewRunRecord(req.Bench, req.Config, 0, time.Millisecond, st)
 		served.Add(1)
-		json.NewEncoder(w).Encode(wire.RunResponse{Record: rec, Source: experiments.SourceSimulated})
+		json.NewEncoder(w).Encode(server.RunResponse{Record: rec, Source: experiments.SourceSimulated})
 	})
 	ln, err := net.Listen("unix", socket)
 	if err != nil {
@@ -142,12 +165,10 @@ func testConfig(t *testing.T, procs int, fallbackCalls *atomic.Int64) Config {
 		Args: func(slot int, socket string) []string {
 			return []string{"-fleet-stub-socket", socket, "-fleet-stub-slot", strconv.Itoa(slot)}
 		},
-		Dir:             t.TempDir(),
-		SpawnTimeout:    5 * time.Second,
-		HeartbeatEvery:  50 * time.Millisecond,
-		HeartbeatMisses: 3,
-		DegradeAfter:    2 * time.Second,
-		Restart:         retry.Policy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond},
+		Dir:            t.TempDir(),
+		HeartbeatEvery: 50 * time.Millisecond,
+		DegradeAfter:   2 * time.Second,
+		Restart:        retry.Policy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond},
 		Fallback: func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
 			if fallbackCalls != nil {
 				fallbackCalls.Add(1)
@@ -165,6 +186,15 @@ func startPool(t *testing.T, cfg Config) *Pool {
 	}
 	t.Cleanup(func() { p.Close() })
 	return p
+}
+
+// waitAlive blocks until n workers are ready, so the sweep that
+// follows runs on the whole fleet instead of racing the slower spawn.
+func waitAlive(t *testing.T, p *Pool, n int) {
+	t.Helper()
+	if !eventually(10*time.Second, func() bool { return p.Report().Alive == n }) {
+		t.Fatalf("fleet never reached %d live workers", n)
+	}
 }
 
 // sweep pushes n distinct cells through the pool concurrently and
@@ -203,6 +233,7 @@ func sweep(t *testing.T, p *Pool, n int) {
 // answered by a worker process, and report both workers alive.
 func TestFleetDispatchAndReport(t *testing.T) {
 	p := startPool(t, testConfig(t, 2, nil))
+	waitAlive(t, p, 2)
 	sweep(t, p, 8)
 	r := p.Report()
 	if r.Alive != 2 {
@@ -245,9 +276,8 @@ func TestFleetCrashRestartRequeue(t *testing.T) {
 func TestFleetWorkStealing(t *testing.T) {
 	t.Setenv("FLEET_STUB_SLOW_SLOT", "0")
 	t.Setenv("FLEET_STUB_SLOW_MS", "150")
-	cfg := testConfig(t, 2, nil)
-	cfg.PerWorker = 1
-	p := startPool(t, cfg)
+	p := startPool(t, testConfig(t, 2, nil))
+	waitAlive(t, p, 2)
 	sweep(t, p, 10)
 	r := p.Report()
 	var steals int64
@@ -320,7 +350,6 @@ func TestFleetCellBudgetKillsWedgedWorker(t *testing.T) {
 	t.Setenv("FLEET_STUB_HANG_ONCE_FILE", filepath.Join(t.TempDir(), "hung"))
 	cfg := testConfig(t, 1, nil)
 	cfg.CellBudget = 200 * time.Millisecond
-	cfg.PerWorker = 1
 	p := startPool(t, cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -336,6 +365,65 @@ func TestFleetCellBudgetKillsWedgedWorker(t *testing.T) {
 	if r := p.Report(); r.Workers[0].Restarts == 0 {
 		t.Error("wedged worker was not restarted")
 	}
+}
+
+// A worker's HTTP error is its final answer: the worker's Runner has
+// already taken the cell through its retry ladder. The pool must return
+// that error after one delivery and never re-dispatch the cell or run
+// it in-process. Only a 503 (a draining or full worker) is "no answer"
+// and re-dispatches the cell.
+func TestFleetWorkerErrorIsFinal(t *testing.T) {
+	mc := config.Default128()
+	t.Run("500 is final", func(t *testing.T) {
+		deliveries := filepath.Join(t.TempDir(), "deliveries")
+		t.Setenv("FLEET_STUB_FAIL_BENCH", "badcell")
+		t.Setenv("FLEET_STUB_FAIL_LOG", deliveries)
+		cfg := testConfig(t, 1, nil)
+		fallback := cfg.Fallback
+		cfg.Fallback = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+			if bench == "badcell" {
+				panic("fallback ran a cell its worker already answered")
+			}
+			return fallback(ctx, bench, cfg)
+		}
+		p := startPool(t, cfg)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_, err := p.Simulate(ctx, "badcell", mc)
+		var answer *server.StatusError
+		if !errors.As(err, &answer) || answer.Code != http.StatusInternalServerError || !strings.Contains(err.Error(), "stub: cell failed") {
+			t.Fatalf("Simulate = %v, want the worker's HTTP 500", err)
+		}
+		log, err := os.ReadFile(deliveries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(log), "\n"); n != 1 {
+			t.Errorf("worker saw the failing cell %d times, want 1", n)
+		}
+		sweep(t, p, 2) // the worker keeps serving other cells
+	})
+	t.Run("503 re-dispatches", func(t *testing.T) {
+		refused := filepath.Join(t.TempDir(), "refused")
+		t.Setenv("FLEET_STUB_503_ONCE_FILE", refused)
+		var fallbackCalls atomic.Int64
+		p := startPool(t, testConfig(t, 1, &fallbackCalls))
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		st, err := p.Simulate(ctx, "busycell", mc)
+		if err != nil {
+			t.Fatalf("cell refused once with 503 never completed: %v", err)
+		}
+		if want := fakeStats("busycell", mc); !reflect.DeepEqual(st, want) {
+			t.Errorf("got %+v want %+v", st, want)
+		}
+		if _, err := os.Stat(refused); err != nil {
+			t.Error("the stub never answered 503")
+		}
+		if n := fallbackCalls.Load(); n != 0 {
+			t.Errorf("fallback calls = %d, want 0 (a live worker answered the retry)", n)
+		}
+	})
 }
 
 // Simulate on a closed pool (and cells still queued at Close) must

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -15,7 +16,6 @@ import (
 	"mdspec/internal/experiments"
 	"mdspec/internal/retry"
 	"mdspec/internal/stats"
-	"mdspec/internal/wire"
 )
 
 // Client talks to an mdserve daemon. Its Run method has the
@@ -38,20 +38,31 @@ type Client struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// NewClient returns a client for the daemon at addr (host:port or a
-// full http:// URL), stamping every request with the provenance
-// fingerprint of opt so the server can refuse mismatched cells.
-// Overload retries follow opt.Retry (zero-valued fields take the
-// retry.Default schedule).
+// NewClient returns a client for the daemon at addr (host:port, a
+// full http:// URL, or unix:<path> for a daemon listening on a unix
+// socket), stamping every request with the provenance fingerprint of
+// opt so the server can refuse mismatched cells. Overload retries
+// follow opt.Retry (zero-valued fields take the retry.Default
+// schedule).
 func NewClient(addr string, opt experiments.Options) *Client {
-	if !strings.Contains(addr, "://") {
+	// Simulations can legitimately take minutes; cancellation comes
+	// from the request context, not a transport timeout.
+	hc := &http.Client{}
+	if path, ok := strings.CutPrefix(addr, "unix:"); ok {
+		// Every request dials the socket; the URL's host is a placeholder.
+		hc.Transport = &http.Transport{
+			DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
+				var d net.Dialer
+				return d.DialContext(ctx, "unix", path)
+			},
+		}
+		addr = "http://mdserve"
+	} else if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
 	return &Client{
-		base: strings.TrimRight(addr, "/"),
-		// Simulations can legitimately take minutes; cancellation comes
-		// from the request context, not a transport timeout.
-		hc:    &http.Client{},
+		base:  strings.TrimRight(addr, "/"),
+		hc:    hc,
 		meta:  opt.Fingerprint(),
 		retry: opt.Retry.WithDefaults(),
 		sleep: ctxSleep,
@@ -81,17 +92,29 @@ func retryAfter(resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// decodeError turns a non-2xx response into a descriptive error.
+// StatusError is a non-2xx answer from the daemon: Code is its HTTP
+// status. Any answer but 503 is final — the daemon ran the cell, or
+// judged the request, and asking again cannot change the verdict.
+type StatusError struct {
+	Code int
+	msg  string
+}
+
+func (e *StatusError) Error() string { return e.msg }
+
+// decodeError turns a non-2xx response into a *StatusError.
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	var er wire.ErrorResponse
+	var er ErrorResponse
+	msg := fmt.Sprintf("mdserve: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 	if json.Unmarshal(body, &er) == nil && er.Error != "" {
 		if er.Server != nil {
-			return fmt.Errorf("mdserve: %s (HTTP %d); the daemon serves %+v — restart it with matching -n/-sampled flags or adjust yours", er.Error, resp.StatusCode, *er.Server)
+			msg = fmt.Sprintf("mdserve: %s (HTTP %d); the daemon serves %+v — restart it with matching -n/-sampled flags or adjust yours", er.Error, resp.StatusCode, *er.Server)
+		} else {
+			msg = fmt.Sprintf("mdserve: %s (HTTP %d)", er.Error, resp.StatusCode)
 		}
-		return fmt.Errorf("mdserve: %s (HTTP %d)", er.Error, resp.StatusCode)
 	}
-	return fmt.Errorf("mdserve: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+	return &StatusError{Code: resp.StatusCode, msg: msg}
 }
 
 // Check verifies the daemon is reachable and serves exactly this
@@ -134,7 +157,7 @@ func (c *Client) Run(ctx context.Context, bench string, cfg config.Machine) (*st
 // retried on the deterministic backoff schedule, honoring the
 // server's Retry-After hint when it is longer than the backoff.
 func (c *Client) RunWithSource(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, experiments.RunSource, error) {
-	body, err := json.Marshal(wire.RunRequest{Bench: bench, Config: cfg, Meta: &c.meta})
+	body, err := json.Marshal(RunRequest{Bench: bench, Config: cfg, Meta: &c.meta})
 	if err != nil {
 		return nil, "", err
 	}
@@ -172,7 +195,7 @@ func (c *Client) runOnce(ctx context.Context, body []byte, bench string, cfg con
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", -1, decodeError(resp)
 	}
-	var rr wire.RunResponse
+	var rr RunResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		return nil, "", -1, fmt.Errorf("mdserve: decoding run response: %w", err)
 	}

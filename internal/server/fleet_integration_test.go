@@ -15,17 +15,15 @@ import (
 
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
-	"mdspec/internal/fleet"
 	"mdspec/internal/stats"
-	"mdspec/internal/wire"
 )
 
-// saturate fills a Workers=1/QueueDepth=1 server: one cell occupies
+// saturate fills a Parallel=1/QueueDepth=1 server: one cell occupies
 // the worker (blocked on release), one occupies the queue slot. Any
 // further single-cell request is refused with 503.
 // firePost submits a cell from a goroutine (raw http.Post: t.Fatal is
 // off-limits off the test goroutine; errors surface as test timeouts).
-func firePost(ts string, req wire.RunRequest) {
+func firePost(ts string, req RunRequest) {
 	body, _ := json.Marshal(req)
 	go func() {
 		resp, err := http.Post(ts+"/v1/runs", "application/json", bytes.NewReader(body))
@@ -37,9 +35,9 @@ func firePost(ts string, req wire.RunRequest) {
 
 func saturate(t *testing.T, ts string, s *Server, release chan struct{}, entered chan struct{}) {
 	t.Helper()
-	firePost(ts, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
+	firePost(ts, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
 	<-entered // worker occupied
-	firePost(ts, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Naive)})
+	firePost(ts, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Naive)})
 	deadline := time.Now().Add(5 * time.Second)
 	for s.sched.queue().Depth == 0 {
 		if time.Now().After(deadline) {
@@ -63,8 +61,8 @@ func TestClientRetriesOn503(t *testing.T) {
 		return fakeStats(bench, cfg), nil
 	}
 	defer unblock()
-	opt := experiments.Options{Insts: 5000}
-	s, ts := newTestServer(t, Config{Options: opt, Workers: 1, QueueDepth: 1}, sim)
+	opt := experiments.Options{Insts: 5000, Parallel: 1}
+	s, ts := newTestServer(t, Config{Options: opt, QueueDepth: 1}, sim)
 	saturate(t, ts.URL, s, release, entered)
 
 	c := NewClient(ts.URL, opt)
@@ -109,8 +107,8 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 		return fakeStats(bench, cfg), nil
 	}
 	defer close(release)
-	opt := experiments.Options{Insts: 5000}
-	s, ts := newTestServer(t, Config{Options: opt, Workers: 1, QueueDepth: 1}, sim)
+	opt := experiments.Options{Insts: 5000, Parallel: 1}
+	s, ts := newTestServer(t, Config{Options: opt, QueueDepth: 1}, sim)
 	saturate(t, ts.URL, s, release, entered)
 
 	c := NewClient(ts.URL, opt)
@@ -129,10 +127,10 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 type fakeFleet struct{ degraded bool }
 
 func (f *fakeFleet) Degraded() bool { return f.degraded }
-func (f *fakeFleet) Report() fleet.Report {
-	return fleet.Report{
+func (f *fakeFleet) Report() FleetReport {
+	return FleetReport{
 		Procs: 2, Alive: 1, Degraded: f.degraded, FallbackCells: 3,
-		Workers: []fleet.WorkerStatus{
+		Workers: []WorkerStatus{
 			{ID: "w0", Alive: true, Cells: 5, Steals: 2, Restarts: 1},
 			{ID: "w1", Alive: false, Restarts: 4, HeartbeatMisses: 6},
 		},
@@ -204,9 +202,9 @@ func TestCloseTimeoutSnapshotsStuckCells(t *testing.T) {
 		return fakeStats(bench, cfg), nil
 	}
 	defer close(release)
-	s, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 1}, sim)
+	s, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000, Parallel: 1}}, sim)
 
-	firePost(ts.URL, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
+	firePost(ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
 	<-entered
 
 	start := time.Now()

@@ -19,11 +19,35 @@ package server
 import (
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
-	"mdspec/internal/fleet"
 )
 
-// The single-cell types (RunRequest, RunResponse, ErrorResponse) live
-// in internal/wire, shared with server.Client and the fleet supervisor.
+// RunRequest is the body of POST /v1/runs: one (benchmark, machine
+// configuration) cell. Config is the full machine description — the
+// server hashes it into the cache key exactly as a local sweep would.
+// Meta, when present, is the client's provenance fingerprint; a
+// mismatch with the server's is refused with 409, because the
+// requested cell would not be one of this server's cells.
+type RunRequest struct {
+	Bench  string                   `json:"bench"`
+	Config config.Machine           `json:"config"`
+	Meta   *experiments.Fingerprint `json:"meta,omitempty"`
+}
+
+// RunResponse answers a single-cell request: the cell's full
+// provenance-carrying record, and where the result came from
+// (simulated, cache, dedup, journal).
+type RunResponse struct {
+	Record experiments.RunRecord `json:"record"`
+	Source experiments.RunSource `json:"source"`
+}
+
+// ErrorResponse is the JSON body of every non-2xx answer. Server
+// carries the daemon's provenance fingerprint on 409 mismatches so a
+// client can see exactly which tuple component diverged.
+type ErrorResponse struct {
+	Error  string                   `json:"error"`
+	Server *experiments.Fingerprint `json:"server,omitempty"`
+}
 
 // SweepRequest is the body of POST /v1/sweeps: the cross product of
 // Benches × Configs, streamed back as one Event per lifecycle step.
@@ -85,7 +109,33 @@ type MetricsResponse struct {
 	// Fleet is the worker-process pool's health snapshot (per-worker
 	// liveness, steal, restart, and heartbeat-miss counters); absent
 	// when the daemon runs single-process.
-	Fleet *fleet.Report `json:"fleet,omitempty"`
+	Fleet *FleetReport `json:"fleet,omitempty"`
+}
+
+// FleetReport is a worker-process pool's health snapshot (produced by
+// internal/fleet): /v1/healthz keys `degraded` off it and /v1/metrics
+// embeds it whole.
+type FleetReport struct {
+	Procs         int            `json:"procs"`
+	Alive         int            `json:"alive"`
+	Degraded      bool           `json:"degraded"`
+	Pending       int            `json:"pending"`
+	FallbackCells int64          `json:"fallback_cells"`
+	Workers       []WorkerStatus `json:"workers"`
+}
+
+// WorkerStatus is one fleet slot's instantaneous state and lifetime
+// counters.
+type WorkerStatus struct {
+	ID              string `json:"id"`
+	PID             int    `json:"pid,omitempty"`
+	Alive           bool   `json:"alive"`
+	QueueDepth      int    `json:"queue_depth"`
+	Inflight        int    `json:"inflight"`
+	Cells           int64  `json:"cells"`
+	Steals          int64  `json:"steals"`
+	Restarts        int64  `json:"restarts"`
+	HeartbeatMisses int64  `json:"heartbeat_misses"`
 }
 
 // HealthzResponse is GET /v1/healthz. Degraded is present only when a

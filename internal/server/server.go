@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"mdspec/internal/experiments"
-	"mdspec/internal/fleet"
-	"mdspec/internal/wire"
 	"mdspec/internal/workload"
 )
 
@@ -26,12 +24,10 @@ type Config struct {
 	// Options fixes the provenance tuple every cell this server
 	// simulates shares: instruction budget, sampling windows, retry
 	// policy, journal. Hooks may be set for logging; the scheduler adds
-	// its own accounting independently.
+	// its own accounting independently. Options.Parallel (default
+	// GOMAXPROCS) also sizes the scheduler pool, which only stages
+	// work: simulation parallelism is bounded by the runner's semaphore.
 	Options experiments.Options
-	// Workers sizes the scheduler pool (default: Options.Parallel, or
-	// GOMAXPROCS). The pool only stages work — actual simulation
-	// parallelism is still bounded by the runner's semaphore.
-	Workers int
 	// QueueDepth bounds queued-but-unstarted cells (default
 	// DefaultQueueDepth). Beyond it, POST /v1/runs answers 503.
 	QueueDepth int
@@ -59,7 +55,7 @@ type Server struct {
 // reports the pool's degraded flag and /v1/metrics embeds its
 // per-worker liveness, steal, and restart counters.
 type Fleet interface {
-	Report() fleet.Report
+	Report() FleetReport
 	Degraded() bool
 }
 
@@ -74,12 +70,8 @@ type endpointStats struct {
 // cfg.Options (open it, prime the returned server's Runner with the
 // replayed records, close it after Close).
 func New(cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		if cfg.Options.Parallel > 0 {
-			cfg.Workers = cfg.Options.Parallel
-		} else {
-			cfg.Workers = runtime.GOMAXPROCS(0)
-		}
+	if cfg.Options.Parallel <= 0 {
+		cfg.Options.Parallel = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -92,7 +84,7 @@ func New(cfg Config) *Server {
 		start:  time.Now(),
 		eps:    make(map[string]*endpointStats),
 	}
-	s.sched = newScheduler(s.runner, cfg.Workers, cfg.QueueDepth)
+	s.sched = newScheduler(s.runner, cfg.Options.Parallel, cfg.QueueDepth)
 	s.route("GET /v1/healthz", s.handleHealthz)
 	s.route("GET /v1/options", s.handleOptions)
 	s.route("GET /v1/metrics", s.handleMetrics)
@@ -110,7 +102,7 @@ func (s *Server) Runner() *experiments.Runner { return s.runner }
 func (s *Server) AttachFleet(f Fleet) { s.fleet = f }
 
 // Workers reports the scheduler pool size after defaulting.
-func (s *Server) Workers() int { return s.cfg.Workers }
+func (s *Server) Workers() int { return s.cfg.Options.Parallel }
 
 // ServeHTTP dispatches to the API routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -181,7 +173,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, wire.ErrorResponse{Error: err.Error()})
+	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -202,7 +194,7 @@ func (s *Server) handleOptions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, OptionsResponse{
 		Fingerprint: s.fp,
 		Benchmarks:  workload.Names(),
-		Workers:     s.cfg.Workers,
+		Workers:     s.cfg.Options.Parallel,
 		QueueDepth:  s.cfg.QueueDepth,
 	})
 }
@@ -239,7 +231,7 @@ func (s *Server) checkMeta(w http.ResponseWriter, meta *experiments.Fingerprint)
 	if meta == nil || *meta == s.fp {
 		return true
 	}
-	writeJSON(w, http.StatusConflict, wire.ErrorResponse{
+	writeJSON(w, http.StatusConflict, ErrorResponse{
 		Error:  fmt.Sprintf("provenance mismatch: request %+v, server %+v", *meta, s.fp),
 		Server: &s.fp,
 	})
@@ -257,7 +249,7 @@ func checkBench(bench string) error {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req wire.RunRequest
+	var req RunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
@@ -301,7 +293,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.logf("run %s %s: %s in %.3fs", req.Bench, rec.Config, res.src, rec.WallSeconds)
-		writeJSON(w, http.StatusOK, wire.RunResponse{Record: rec, Source: res.src})
+		writeJSON(w, http.StatusOK, RunResponse{Record: rec, Source: res.src})
 	case <-r.Context().Done():
 		// Client gone: the worker will observe the dead context (or
 		// finish and populate the cache for the next caller); nothing

@@ -16,7 +16,6 @@ import (
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
 	"mdspec/internal/stats"
-	"mdspec/internal/wire"
 )
 
 func cfgWith(p config.Policy) config.Machine {
@@ -49,7 +48,7 @@ func newTestServer(t *testing.T, cfg Config, sim experiments.SimulateFunc) (*Ser
 	return s, ts
 }
 
-func postRun(t *testing.T, url string, req wire.RunRequest) (*http.Response, []byte) {
+func postRun(t *testing.T, url string, req RunRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -92,12 +91,12 @@ func TestRunDedupAcrossConcurrentClients(t *testing.T) {
 		<-release
 		return fakeStats(bench, cfg), nil
 	}
-	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 4}, sim)
+	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000, Parallel: 4}}, sim)
 
-	req := wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
+	req := RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
 	type result struct {
 		status int
-		rr     wire.RunResponse
+		rr     RunResponse
 	}
 	results := make(chan result, 2)
 	var wg sync.WaitGroup
@@ -106,7 +105,7 @@ func TestRunDedupAcrossConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			resp, body := postRun(t, ts.URL, req)
-			var rr wire.RunResponse
+			var rr RunResponse
 			json.Unmarshal(body, &rr)
 			results <- result{resp.StatusCode, rr}
 		}()
@@ -145,7 +144,7 @@ func TestRunDedupAcrossConcurrentClients(t *testing.T) {
 
 	// A repeat after completion is a cache hit and runs nothing.
 	resp, body := postRun(t, ts.URL, req)
-	var rr wire.RunResponse
+	var rr RunResponse
 	json.Unmarshal(body, &rr)
 	if resp.StatusCode != http.StatusOK || rr.Source != experiments.SourceCache {
 		t.Errorf("repeat request: status %d source %q, want 200 cache", resp.StatusCode, rr.Source)
@@ -173,13 +172,13 @@ func TestRunMetaMismatch(t *testing.T) {
 		return fakeStats(bench, cfg), nil
 	})
 	foreign := experiments.Options{Insts: 999_999}.Fingerprint()
-	resp, body := postRun(t, ts.URL, wire.RunRequest{
+	resp, body := postRun(t, ts.URL, RunRequest{
 		Bench: "126.gcc", Config: cfgWith(config.Sync), Meta: &foreign,
 	})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("status = %d, want 409; body: %s", resp.StatusCode, body)
 	}
-	var er wire.ErrorResponse
+	var er ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil || er.Server == nil {
 		t.Fatalf("409 body must carry the server fingerprint: %s", body)
 	}
@@ -190,7 +189,7 @@ func TestRunMetaMismatch(t *testing.T) {
 
 func TestRunRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}}, nil)
-	for name, req := range map[string]wire.RunRequest{
+	for name, req := range map[string]RunRequest{
 		"unknown bench": {Bench: "127.notabench", Config: cfgWith(config.Sync)},
 		"empty config":  {Bench: "126.gcc"},
 	} {
@@ -213,12 +212,12 @@ func TestRunQueueFull(t *testing.T) {
 	}
 	defer close(release)
 	s, ts := newTestServer(t, Config{
-		Options: experiments.Options{Insts: 5000}, Workers: 1, QueueDepth: 1,
+		Options: experiments.Options{Insts: 5000, Parallel: 1}, QueueDepth: 1,
 	}, sim)
 
 	fire := func(p config.Policy, ch chan<- int) {
 		go func() {
-			resp, _ := postRun(t, ts.URL, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(p)})
+			resp, _ := postRun(t, ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(p)})
 			ch <- resp.StatusCode
 		}()
 	}
@@ -234,7 +233,7 @@ func TestRunQueueFull(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, body := postRun(t, ts.URL, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Oracle)})
+	resp, body := postRun(t, ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Oracle)})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("overload status = %d, want 503; body: %s", resp.StatusCode, body)
 	}
@@ -256,7 +255,7 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 	sim := func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
 		return fakeStats(bench, cfg), nil
 	}
-	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 2}, sim)
+	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000, Parallel: 2}}, sim)
 
 	body, _ := json.Marshal(SweepRequest{
 		Benches: []string{"126.gcc", "102.swim"},
@@ -336,7 +335,7 @@ func TestSweepStreamsSSE(t *testing.T) {
 func TestJournalRestartReprimesCache(t *testing.T) {
 	dir := t.TempDir()
 	opt := experiments.Options{Insts: 2000, Parallel: 2}
-	req := wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
+	req := RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
 
 	// First server lifetime: simulate one real cell, journal it.
 	j, recs, err := experiments.OpenJournalSegment(dir, "sup", opt, 0)
@@ -352,7 +351,7 @@ func TestJournalRestartReprimesCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first run: status %d: %s", resp.StatusCode, body)
 	}
-	var first wire.RunResponse
+	var first RunResponse
 	if err := json.Unmarshal(body, &first); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +382,7 @@ func TestJournalRestartReprimesCache(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("replayed run: status %d: %s", resp2.StatusCode, body2)
 	}
-	var second wire.RunResponse
+	var second RunResponse
 	if err := json.Unmarshal(body2, &second); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +465,7 @@ func TestCloseRefusesNewWork(t *testing.T) {
 	defer ts.Close()
 	s.Close()
 	s.Close() // idempotent
-	resp, body := postRun(t, ts.URL, wire.RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
+	resp, body := postRun(t, ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-Close status = %d, want 503; body: %s", resp.StatusCode, body)
 	}
@@ -485,7 +484,7 @@ func TestCloseDrainsQueuedWork(t *testing.T) {
 		finished.Add(1)
 		return fakeStats(bench, cfg), nil
 	}
-	s := New(Config{Options: experiments.Options{Insts: 5000}, Workers: 1, QueueDepth: 4})
+	s := New(Config{Options: experiments.Options{Insts: 5000, Parallel: 1}, QueueDepth: 4})
 	s.Runner().UseBackend(sim)
 
 	done := make(chan taskResult, 2)
