@@ -517,7 +517,9 @@ func (g *gbFunc) checkSel(sel *ast.SelectorExpr, held lockSet, write bool) {
 	if !ok {
 		return
 	}
-	gi, guarded := g.c.guarded[v]
+	// A field of a generic struct is used through its instantiated
+	// object; the annotation is indexed under the declared one.
+	gi, guarded := g.c.guarded[v.Origin()]
 	if !guarded {
 		return
 	}

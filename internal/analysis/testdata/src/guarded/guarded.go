@@ -1,6 +1,6 @@
 // Package guarded exercises the guardedby analyzer: flagged unlocked
 // accesses, RLock-for-read, TryLock branches, defer-unlock, locked-call
-// flow, fresh-local construction, and nolock waivers.
+// flow, fresh-local construction, nolock waivers, and generic structs.
 package guarded
 
 import "sync"
@@ -135,4 +135,19 @@ func (c *counter) waivedNoReason() {
 func (c *counter) reset() {
 	c.n = 0 // ok: whole function waived
 	c.shared = nil
+}
+
+type table[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V //md:guardedby mu
+}
+
+func (t *table[K, V]) getLocked(k K) V {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[k] // ok
+}
+
+func (t *table[K, V]) getUnlocked(k K) V {
+	return t.m[k] // want "access to t.m requires t.mu held"
 }

@@ -15,10 +15,11 @@ import (
 )
 
 // ckptOpt is a sampled geometry small enough for tests but with a
-// multi-segment decomposition, so checkpoints actually exist.
+// multi-segment decomposition at the default segment size, so
+// checkpoints actually exist.
 func ckptOpt() Options {
-	return Options{Insts: 24_000, Sampled: true,
-		TimingWindow: 3_000, FunctionalWindow: 6_000, SegmentPeriods: 2}
+	return Options{Insts: 48_000, Sampled: true,
+		TimingWindow: 3_000, FunctionalWindow: 6_000}
 }
 
 // ckptFile returns the single .mdckpt file in dir (or fails).
@@ -49,7 +50,7 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 	}
 	want, err := parsim.Run(bg, cfg, emu.NewRecording(emu.New(p)), parsim.Options{
 		TotalTiming: opt.Insts, TimingInsts: opt.timingWindow(),
-		FunctionalInsts: opt.functionalWindow(), SegmentPeriods: opt.SegmentPeriods,
+		FunctionalInsts: opt.functionalWindow(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +165,10 @@ func TestRunnerPhaseSampled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := a.phasePlan(bench)
+	plan, err := a.phasePlan(bg, bench)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(plan) == 0 || len(plan) > opt.Phases {
 		t.Fatalf("plan = %v, want 1..%d representatives", plan, opt.Phases)
 	}
@@ -172,7 +176,7 @@ func TestRunnerPhaseSampled(t *testing.T) {
 	for _, ws := range plan {
 		weight += ws.Weight
 	}
-	// 8 periods at 2 periods/segment → 4 segments to cover.
+	// 16 periods at 4 periods/segment → 4 segments to cover.
 	if weight != 4 {
 		t.Errorf("plan weights sum to %d, want 4 (every segment accounted for)", weight)
 	}

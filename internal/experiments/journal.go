@@ -81,7 +81,6 @@ type Fingerprint struct {
 	Sampled          bool   `json:"sampled"`
 	TimingWindow     int64  `json:"timing_window,omitempty"`
 	FunctionalWindow int64  `json:"functional_window,omitempty"`
-	SegmentPeriods   int    `json:"segment_periods,omitempty"`
 	// Phases is the phase cluster count of a PhaseSampled sweep (0 when
 	// phase selection is off): phase-weighted cells are not the cells of
 	// an exhaustive sampled sweep, so the two must not prime each other.
@@ -95,7 +94,6 @@ func (opt Options) Fingerprint() Fingerprint {
 	if opt.Sampled {
 		m.TimingWindow = opt.timingWindow()
 		m.FunctionalWindow = opt.functionalWindow()
-		m.SegmentPeriods = opt.SegmentPeriods
 		if opt.PhaseSampled {
 			m.Phases = opt.phases()
 		}

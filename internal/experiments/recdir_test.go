@@ -44,7 +44,7 @@ func TestRecordingDirCachesAndReplays(t *testing.T) {
 	if got2 := key(r2); got2 != got {
 		t.Errorf("file-backed run diverged: %s vs %s", got2, got)
 	}
-	src, err := r2.recording(bench)
+	src, err := r2.recording(bg, bench)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,6 +182,40 @@ func TestExhaustedRetriesAbandonCell(t *testing.T) {
 	}
 }
 
+// TestAbandonedCellClearedOnLaterSuccess: a cell abandoned once and
+// completed by a later Run is no longer missing, so the envelope lists
+// it in runs only and is not partial.
+func TestAbandonedCellClearedOnLaterSuccess(t *testing.T) {
+	r := NewRunner(Options{Insts: 1000, Retry: retry.Policy{MaxAttempts: 2}})
+	r.sleep = instantSleep
+	var calls atomic.Int64
+	r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		if calls.Add(1) <= 2 {
+			return nil, &parsim.PanicError{Segment: 0, Value: "flaky"}
+		}
+		return okRun(bench, cfg), nil
+	}
+
+	if _, err := r.Run(bg, "126.gcc", nas(config.Naive)); err == nil {
+		t.Fatal("first Run should exhaust its retry budget")
+	}
+	if len(r.Abandoned()) != 1 {
+		t.Fatalf("Abandoned() = %+v after the failed Run, want the cell", r.Abandoned())
+	}
+	if _, err := r.Run(bg, "126.gcc", nas(config.Naive)); err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	if ab := r.Abandoned(); len(ab) != 0 {
+		t.Errorf("Abandoned() = %+v after the cell succeeded, want none", ab)
+	}
+	rs := NewResults("test", r.Options())
+	rs.Attach(r)
+	if rs.Partial || len(rs.Abandoned) != 0 || len(rs.Runs) != 1 {
+		t.Errorf("envelope Partial=%v Abandoned=%v runs=%d, want complete with one run",
+			rs.Partial, rs.Abandoned, len(rs.Runs))
+	}
+}
+
 // TestSampledFallbackSerial: a sampled cell whose primary attempts keep
 // failing degrades to one single-worker pass of the same sampled
 // decomposition — a real simulation, without checkpoints — whose

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,10 +61,6 @@ type Options struct {
 	// timing:functional ratio).
 	TimingWindow     int64
 	FunctionalWindow int64
-	// SegmentPeriods is the interval-parallel segment size in sampling
-	// periods (default parsim.DefaultSegmentPeriods). It fixes the
-	// decomposition, so results are independent of Parallel.
-	SegmentPeriods int
 	// PhaseSampled narrows a sampled sweep to phase-representative
 	// segments: each benchmark's segments are summarized by basic-block
 	// vectors, clustered into Phases groups with deterministic seeded
@@ -139,13 +136,6 @@ func (o Options) functionalWindow() int64 {
 	return 2 * o.timingWindow()
 }
 
-func (o Options) segmentPeriods() int {
-	if o.SegmentPeriods > 0 {
-		return o.SegmentPeriods
-	}
-	return parsim.DefaultSegmentPeriods
-}
-
 func (o Options) phases() int {
 	if o.Phases > 0 {
 		return o.Phases
@@ -159,7 +149,7 @@ func (o Options) phases() int {
 // warm-up length to the timing window.
 func (o Options) checkpointSeqs() []int64 {
 	return ckpt.Positions(o.Insts, o.timingWindow(), o.functionalWindow(),
-		int64(o.segmentPeriods()), o.timingWindow())
+		parsim.DefaultSegmentPeriods, o.timingWindow())
 }
 
 // Hooks are optional progress callbacks a Runner invokes around each
@@ -214,26 +204,23 @@ type Counters struct {
 
 // Runner executes and memoizes simulations: most experiments share
 // baseline configurations, so each (benchmark, config) pair runs once,
-// even under concurrent callers (singleflight).
+// even under concurrent callers (singleflight). Every memo — cells and
+// the programs, recordings, checkpoint sets and phase plans they are
+// built from — is a flight table, so no build runs under a lock.
 type Runner struct {
 	opt Options
 
+	cells flight[runKey, RunRecord]
+	progs flight[string, *prog.Program]
+	recs  flight[string, emu.ReplaySource]
+	ckpts flight[ckptKey, *ckpt.Set]
+	plans flight[string, []ckpt.WeightedSegment]
+
 	mu         sync.Mutex
-	progs      map[string]*prog.Program          //md:guardedby mu
-	recs       map[string]emu.ReplaySource       //md:guardedby mu
-	cache      map[runKey]*stats.Run             //md:guardedby mu
-	hashes     map[config.Machine]string         //md:guardedby mu
-	inflight   map[runKey]*call                  //md:guardedby mu
-	ckpts      map[ckptKey]*ckpt.Set             //md:guardedby mu
-	ckptBusy   map[ckptKey]chan struct{}         //md:guardedby mu
-	plans      map[string][]ckpt.WeightedSegment //md:guardedby mu
-	planBusy   map[string]chan struct{}          //md:guardedby mu
-	records    []RunRecord                       //md:guardedby mu
-	recordIdx  map[runKeyID]int                  //md:guardedby mu
-	primed     map[runKeyID]RunRecord            //md:guardedby mu
-	abandoned  []AbandonedCell                   //md:guardedby mu
-	abandonSet map[runKeyID]bool                 //md:guardedby mu
-	journalErr error                             //md:guardedby mu
+	records    []RunRecord            //md:guardedby mu
+	primed     map[runKeyID]RunRecord //md:guardedby mu
+	abandoned  []AbandonedCell        //md:guardedby mu
+	journalErr error                  //md:guardedby mu
 
 	jobsStarted  atomic.Int64
 	jobsFinished atomic.Int64
@@ -283,33 +270,15 @@ type ckptKey struct {
 	warm  ckpt.WarmConfig
 }
 
-// call is an in-flight simulation that duplicate requests wait on.
-type call struct {
-	done chan struct{}
-	res  *stats.Run
-	err  error
-}
-
 // NewRunner returns a Runner with the given options.
 func NewRunner(opt Options) *Runner {
 	if opt.Insts <= 0 {
 		opt.Insts = DefaultOptions().Insts
 	}
 	r := &Runner{
-		opt:        opt,
-		progs:      make(map[string]*prog.Program),
-		recs:       make(map[string]emu.ReplaySource),
-		cache:      make(map[runKey]*stats.Run),
-		hashes:     make(map[config.Machine]string),
-		inflight:   make(map[runKey]*call),
-		ckpts:      make(map[ckptKey]*ckpt.Set),
-		ckptBusy:   make(map[ckptKey]chan struct{}),
-		plans:      make(map[string][]ckpt.WeightedSegment),
-		planBusy:   make(map[string]chan struct{}),
-		recordIdx:  make(map[runKeyID]int),
-		primed:     make(map[runKeyID]RunRecord),
-		abandonSet: make(map[runKeyID]bool),
-		sem:        parsim.NewSem(opt.parallel()),
+		opt:    opt,
+		primed: make(map[runKeyID]RunRecord),
+		sem:    parsim.NewSem(opt.parallel()),
 	}
 	r.sim = r.simulate
 	r.simFallback = r.simulateSingleWorker
@@ -354,8 +323,8 @@ func (r *Runner) Counters() Counters {
 
 // Abandoned returns a copy of the cells this runner gave up on after
 // exhausting retries (and, for sampled cells, the single-worker
-// fallback). They are the partial-results envelope's "what is missing"
-// list.
+// fallback) and has not completed since. They are the partial-results
+// envelope's "what is missing" list.
 func (r *Runner) Abandoned() []AbandonedCell {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -399,33 +368,11 @@ func (r *Runner) Records() []RunRecord {
 	return append([]RunRecord(nil), r.records...)
 }
 
-// Record returns the provenance record of a completed (bench, config)
-// cell — executed or replayed by this runner — so a service response
-// can carry the cell's true wall time, attempts, and fallback marker
-// rather than a reconstruction. The second result is false while the
-// cell has not finished successfully.
-func (r *Runner) Record(bench string, cfg config.Machine) (RunRecord, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, ok := r.recordIdx[runKeyID{bench, r.cfgHashLocked(cfg)}]
-	if !ok {
-		return RunRecord{}, false
-	}
-	return r.records[i], true
-}
-
-func (r *Runner) program(bench string) (*prog.Program, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.progs[bench]; ok {
-		return p, nil
-	}
-	p, err := workload.Build(bench)
-	if err != nil {
-		return nil, err
-	}
-	r.progs[bench] = p
-	return p, nil
+func (r *Runner) program(ctx context.Context, bench string) (*prog.Program, error) {
+	p, _, err := r.progs.do(ctx, bench, func() (*prog.Program, error) {
+		return workload.Build(bench)
+	})
+	return p, err
 }
 
 // recording returns the shared dynamic-instruction replay source for
@@ -434,24 +381,18 @@ func (r *Runner) program(bench string) (*prog.Program, error) {
 // exactly once per benchmark regardless of how many configurations run
 // over it. With RecordingDir set, the recording additionally persists
 // across processes as an mmapped column file.
-func (r *Runner) recording(bench string) (emu.ReplaySource, error) {
-	p, err := r.program(bench)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rec, ok := r.recs[bench]; ok {
-		return rec, nil
-	}
-	var src emu.ReplaySource
-	if r.opt.RecordingDir != "" {
-		src = r.fileRecording(bench, p)
-	} else {
-		src = emu.NewRecording(emu.New(p))
-	}
-	r.recs[bench] = src
-	return src, nil
+func (r *Runner) recording(ctx context.Context, bench string) (emu.ReplaySource, error) {
+	src, _, err := r.recs.do(ctx, bench, func() (emu.ReplaySource, error) {
+		p, err := r.program(ctx, bench)
+		if err != nil {
+			return nil, err
+		}
+		if r.opt.RecordingDir != "" {
+			return r.fileRecording(bench, p), nil
+		}
+		return emu.NewRecording(emu.New(p)), nil
+	})
+	return src, err
 }
 
 // fileRecording serves bench from the RecordingDir cache: an existing
@@ -524,16 +465,13 @@ func writeRecordingFile(path string, rec *emu.Recording) error {
 // Close releases resources held by the runner's replay sources (mmapped
 // recording files). The runner must be idle.
 func (r *Runner) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var firstErr error
-	for bench, src := range r.recs {
+	for _, src := range r.recs.drain() {
 		if f, ok := src.(*emu.FileRecording); ok {
 			if err := f.Close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
-		delete(r.recs, bench)
 	}
 	return firstErr
 }
@@ -544,30 +482,11 @@ func (r *Runner) Close() error {
 // functional pass). A nil result means checkpointing is unavailable
 // for these options; callers proceed without it — checkpoints are an
 // optimization, never a correctness dependency.
-func (r *Runner) checkpointSet(bench string, cfg config.Machine) *ckpt.Set {
-	key := ckptKey{bench, ckpt.WarmConfigOf(cfg)}
-	for {
-		r.mu.Lock()
-		if s, ok := r.ckpts[key]; ok {
-			r.mu.Unlock()
-			return s
-		}
-		if ch, ok := r.ckptBusy[key]; ok {
-			r.mu.Unlock()
-			<-ch //md:ctxok bounded CPU-only build; the builder always closes ch, no external wait
-			continue
-		}
-		ch := make(chan struct{})
-		r.ckptBusy[key] = ch
-		r.mu.Unlock()
-		s := r.buildCheckpointSet(bench, cfg)
-		r.mu.Lock()
-		r.ckpts[key] = s
-		delete(r.ckptBusy, key)
-		r.mu.Unlock()
-		close(ch)
-		return s
-	}
+func (r *Runner) checkpointSet(ctx context.Context, bench string, cfg config.Machine) *ckpt.Set {
+	s, _, _ := r.ckpts.do(ctx, ckptKey{bench, ckpt.WarmConfigOf(cfg)}, func() (*ckpt.Set, error) {
+		return r.buildCheckpointSet(ctx, bench, cfg)
+	})
+	return s
 }
 
 // buildCheckpointSet opens, validates, or re-captures one checkpoint
@@ -575,19 +494,20 @@ func (r *Runner) checkpointSet(bench string, cfg config.Machine) *ckpt.Set {
 // <bench>-<warmhash>.mdckpt next to the benchmark's recording, shared
 // by concurrent mdserve workers and resumed mdexp sweeps; a corrupt,
 // mismatched, or stale file is silently re-captured and rewritten.
-// Every failure path degrades to a smaller or nil set, never an error.
-func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set {
+// Every capture failure degrades to a smaller or nil set; only a
+// missing recording is an error, so the next caller tries again.
+func (r *Runner) buildCheckpointSet(ctx context.Context, bench string, cfg config.Machine) (*ckpt.Set, error) {
 	seqs := r.opt.checkpointSeqs()
 	if len(seqs) == 0 {
-		return nil // single-segment decomposition: nothing to resume
+		return nil, nil // single-segment decomposition: nothing to resume
 	}
-	rec, err := r.recording(bench)
+	rec, err := r.recording(ctx, bench)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	p, err := r.program(bench)
+	p, err := r.program(ctx, bench)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	recFP := emu.ProgramFingerprint(p)
 	warm := ckpt.WarmConfigOf(cfg)
@@ -600,7 +520,7 @@ func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set 
 		if err == nil && !staleSeqs(s.Seqs(), seqs) {
 			r.ckptHits.Add(1)
 			r.ckptBytes.Add(s.SizeBytes())
-			return s
+			return s, nil
 		}
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			// Torn, corrupt, or foreign file: drop it before re-capture so
@@ -611,14 +531,14 @@ func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set 
 	r.ckptMisses.Add(1)
 	s, err := ckpt.Build(cfg, rec, recFP, seqs)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	if path != "" && len(s.Frames) > 0 {
 		if err := s.WriteFile(path); err == nil {
 			r.ckptBytes.Add(s.SizeBytes())
 		}
 	}
-	return s
+	return s, nil
 }
 
 // staleSeqs reports whether an on-disk checkpoint schedule no longer
@@ -641,48 +561,30 @@ func staleSeqs(got, want []int64) bool {
 // phasePlan returns bench's phase-representative segment selection,
 // computed at most once per benchmark (one streaming BBV pass plus
 // k-means). A nil plan means every segment is simulated unweighted.
-func (r *Runner) phasePlan(bench string) []ckpt.WeightedSegment {
-	for {
-		r.mu.Lock()
-		if plan, ok := r.plans[bench]; ok {
-			r.mu.Unlock()
-			return plan
-		}
-		if ch, ok := r.planBusy[bench]; ok {
-			r.mu.Unlock()
-			<-ch //md:ctxok bounded CPU-only BBV pass; the builder always closes ch, no external wait
-			continue
-		}
-		ch := make(chan struct{})
-		r.planBusy[bench] = ch
-		r.mu.Unlock()
-		plan := r.buildPhasePlan(bench)
-		r.mu.Lock()
-		r.plans[bench] = plan
-		delete(r.planBusy, bench)
-		r.mu.Unlock()
-		close(ch)
-		return plan
-	}
+func (r *Runner) phasePlan(ctx context.Context, bench string) ([]ckpt.WeightedSegment, error) {
+	plan, _, err := r.plans.do(ctx, bench, func() ([]ckpt.WeightedSegment, error) {
+		return r.buildPhasePlan(ctx, bench)
+	})
+	return plan, err
 }
 
 // buildPhasePlan computes per-segment basic-block vectors over the
 // sweep's sampling horizon and clusters them into the configured
 // number of phases. The segment size mirrors parsim's decomposition
 // exactly, so plan indices are parsim segment indices.
-func (r *Runner) buildPhasePlan(bench string) []ckpt.WeightedSegment {
-	rec, err := r.recording(bench)
+func (r *Runner) buildPhasePlan(ctx context.Context, bench string) ([]ckpt.WeightedSegment, error) {
+	rec, err := r.recording(ctx, bench)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	tw, fw := r.opt.timingWindow(), r.opt.functionalWindow()
 	periods := (r.opt.Insts + tw - 1) / tw
-	segInsts := int64(r.opt.segmentPeriods()) * (tw + fw)
+	segInsts := parsim.DefaultSegmentPeriods * (tw + fw)
 	vecs, err := ckpt.SegmentBBVs(rec, periods*(tw+fw), segInsts, ckpt.BBVDims)
 	if err != nil || len(vecs) < 2 {
-		return nil
+		return nil, nil
 	}
-	return ckpt.Plan(vecs, r.opt.phases(), phaseSeed)
+	return ckpt.Plan(vecs, r.opt.phases(), phaseSeed), nil
 }
 
 // simulate is the real simulation backend behind Run. With
@@ -706,7 +608,7 @@ func (r *Runner) simulateSingleWorker(ctx context.Context, bench string, cfg con
 }
 
 func (r *Runner) simulateWith(ctx context.Context, bench string, cfg config.Machine, singleWorker bool) (*stats.Run, error) {
-	rec, err := r.recording(bench)
+	rec, err := r.recording(ctx, bench)
 	if err != nil {
 		return nil, err
 	}
@@ -716,16 +618,17 @@ func (r *Runner) simulateWith(ctx context.Context, bench string, cfg config.Mach
 			TotalTiming:     r.opt.Insts,
 			TimingInsts:     r.opt.timingWindow(),
 			FunctionalInsts: r.opt.functionalWindow(),
-			SegmentPeriods:  r.opt.SegmentPeriods,
 		}
 		if singleWorker {
 			popt.Workers = 1
 		} else {
 			popt.Sem = r.sem
-			popt.Checkpoints = r.checkpointSet(bench, cfg)
+			popt.Checkpoints = r.checkpointSet(ctx, bench, cfg)
 		}
 		if r.opt.PhaseSampled {
-			popt.Select = r.phasePlan(bench)
+			if popt.Select, err = r.phasePlan(ctx, bench); err != nil {
+				return nil, err
+			}
 		}
 		if res, err = parsim.Run(ctx, cfg, rec, popt); err != nil {
 			return nil, err
@@ -827,28 +730,6 @@ func (r *Runner) runWithRecovery(ctx context.Context, bench string, cfg config.M
 	return nil, attempts, "", err
 }
 
-// cfgHash returns cfg's provenance hash, memoized per Runner the way
-// cfgName already is per call: Hash() renders every Machine field
-// through fmt, and under mdserve the hash is consulted on every
-// request (cache key, journal key, abandoned-cell identity).
-func (r *Runner) cfgHash(cfg config.Machine) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cfgHashLocked(cfg)
-}
-
-// cfgHashLocked is cfgHash for callers already holding r.mu.
-//
-//md:locked mu
-func (r *Runner) cfgHashLocked(cfg config.Machine) string {
-	if h, ok := r.hashes[cfg]; ok {
-		return h
-	}
-	h := cfg.Hash()
-	r.hashes[cfg] = h
-	return h
-}
-
 // RunSource reports where a simulation result came from, for service
 // responses and dedup accounting.
 type RunSource string
@@ -884,63 +765,89 @@ func (r *Runner) Run(ctx context.Context, bench string, cfg config.Machine) (*st
 // responses carry the source so clients can tell a cache hit from a
 // paid simulation.
 func (r *Runner) RunWithSource(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, RunSource, error) {
+	rec, src, err := r.run(ctx, bench, cfg, false)
+	return rec.Stats, src, err
+}
+
+// RunGuarded is Run behind the runner's parallelism budget, returning
+// the cell's provenance record: the caller that simulates the cell
+// holds one token of Options.Parallel while it does, and a call answered
+// from the memo cache, a primed journal, or an in-flight duplicate
+// takes none. It is the per-job step of the bounded sweep pool (runAll)
+// and of the mdserve scheduler's workers, which must never let one
+// queued request oversubscribe the shared simulation budget.
+func (r *Runner) RunGuarded(ctx context.Context, bench string, cfg config.Machine) (RunRecord, RunSource, error) {
+	return r.run(ctx, bench, cfg, true)
+}
+
+// run answers one cell request through the cell table. The build
+// replays a primed journal record or simulates the cell — taking a
+// parallelism token first when guarded — and journals a fresh result
+// before any other caller can see it.
+func (r *Runner) run(ctx context.Context, bench string, cfg config.Machine, guarded bool) (RunRecord, RunSource, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, "", err
+		return RunRecord{}, "", err
 	}
-	key := runKey{bench, cfg}
-	// Name() rebuilds the paper-style string on every call; the hook and
-	// error paths below use it up to three times, so build it once.
-	cfgName := cfg.Name()
-
-	r.mu.Lock()
-	if res, ok := r.cache[key]; ok {
-		r.mu.Unlock()
+	src := SourceSimulated
+	rec, how, err := r.cells.do(ctx, runKey{bench, cfg}, func() (RunRecord, error) {
+		// Name() and Hash() render the Machine on every call, so a memo
+		// hit computes neither (Name only for a CacheHit hook); a build
+		// computes each once.
+		id := runKeyID{bench, cfg.Hash()}
+		if rec, ok := r.takePrimed(id); ok {
+			src = SourceJournal
+			return rec, nil
+		}
+		if guarded {
+			if err := r.sem.Acquire(ctx); err != nil {
+				return RunRecord{}, err
+			}
+			defer r.sem.Release()
+		}
+		return r.simulateCell(ctx, id, cfg, cfg.Name())
+	})
+	if err != nil {
+		return RunRecord{}, "", err
+	}
+	switch {
+	case how == flightMemo:
+		src = SourceCache
 		r.cacheHits.Add(1)
-		if r.opt.Hooks.CacheHit != nil {
-			r.opt.Hooks.CacheHit(bench, cfgName)
-		}
-		return res, SourceCache, nil
+	case how == flightJoined:
+		src = SourceDedup
+		r.cacheHits.Add(1)
+	case src == SourceJournal:
+		r.replayed.Add(1)
+	default:
+		return rec, src, nil
 	}
-	if len(r.primed) > 0 {
-		// A cell replayed from a resumed journal: promote it into the
-		// memo cache and the provenance records, skipping the simulation
-		// entirely (its stats are bit-identical to re-running by the
-		// determinism contract).
-		id := runKeyID{bench, r.cfgHashLocked(cfg)}
-		if rec, ok := r.primed[id]; ok {
-			delete(r.primed, id)
-			res := rec.Stats
-			r.cache[key] = res
-			r.records = append(r.records, rec)
-			r.recordIdx[id] = len(r.records) - 1
-			r.mu.Unlock()
-			r.replayed.Add(1)
-			if r.opt.Hooks.CacheHit != nil {
-				r.opt.Hooks.CacheHit(bench, cfgName)
-			}
-			return res, SourceJournal, nil
-		}
+	if r.opt.Hooks.CacheHit != nil {
+		r.opt.Hooks.CacheHit(bench, cfg.Name())
 	}
-	if c, ok := r.inflight[key]; ok {
-		r.mu.Unlock()
-		select {
-		case <-c.done:
-			if c.err != nil {
-				return nil, "", c.err
-			}
-			r.cacheHits.Add(1)
-			if r.opt.Hooks.CacheHit != nil {
-				r.opt.Hooks.CacheHit(bench, cfgName)
-			}
-			return c.res, SourceDedup, nil
-		case <-ctx.Done():
-			return nil, "", ctx.Err()
-		}
-	}
-	c := &call{done: make(chan struct{})}
-	r.inflight[key] = c
-	r.mu.Unlock()
+	return rec, src, nil
+}
 
+// takePrimed claims the primed journal record of a cell, moving it into
+// the provenance records: a replayed cell skips the simulation entirely
+// (its stats are bit-identical to re-running by the determinism
+// contract) and is not re-journaled.
+func (r *Runner) takePrimed(id runKeyID) (RunRecord, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rec, ok := r.primed[id]
+	if ok {
+		delete(r.primed, id)
+		r.records = append(r.records, rec)
+	}
+	return rec, ok
+}
+
+// simulateCell runs one cell to a record or a failure, counting it as a
+// cache miss. A success is made durable in the journal before it is
+// published; a failure other than cancellation names the cell in the
+// abandoned list until a later attempt succeeds.
+func (r *Runner) simulateCell(ctx context.Context, id runKeyID, cfg config.Machine, cfgName string) (RunRecord, error) {
+	bench := id.bench
 	r.cacheMisses.Add(1)
 	r.jobsStarted.Add(1)
 	if r.opt.Hooks.JobStarted != nil {
@@ -961,49 +868,41 @@ func (r *Runner) RunWithSource(ctx context.Context, bench string, cfg config.Mac
 		r.opt.Hooks.JobFinished(bench, cfgName, wall, err)
 	}
 
-	var rec RunRecord
-	r.mu.Lock()
-	delete(r.inflight, key)
-	if err == nil {
-		cfgHash := r.cfgHashLocked(cfg)
-		rec = newRunRecord(bench, cfgName, cfgHash, r.opt.Insts, wall, res)
-		rec.Attempts = attempts
-		rec.Fallback = fallback
-		r.cache[key] = res
-		r.records = append(r.records, rec)
-		r.recordIdx[runKeyID{bench, cfgHash}] = len(r.records) - 1
-	} else if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		// The cell is abandoned (retries and any fallback exhausted, or
-		// a permanent failure): name it so the partial-results envelope
-		// can report exactly what is missing. Errors are not cached, so
-		// a later Run of the same cell may retry it; keep one entry.
-		id := runKeyID{bench, r.cfgHashLocked(cfg)}
-		if !r.abandonSet[id] {
-			r.abandonSet[id] = true
-			r.abandoned = append(r.abandoned, AbandonedCell{
-				Bench: bench, Config: cfgName, ConfigHash: id.configHash,
-				Attempts: attempts, Error: err.Error(),
-			})
-		}
-	}
-	journal := r.opt.Journal
-	r.mu.Unlock()
-
-	if err == nil && journal != nil {
-		// Make the finished cell durable before reporting it; a journal
-		// failure costs resumability, not the sweep (see JournalErr).
-		if jerr := journal.Append(rec); jerr != nil {
+	isCell := func(c AbandonedCell) bool { return c.Bench == bench && c.ConfigHash == id.configHash }
+	if err != nil {
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			// The cell is abandoned (retries and any fallback exhausted, or
+			// a permanent failure): name it so the partial-results envelope
+			// can report exactly what is missing. Errors are not cached, so
+			// a later Run of the same cell may retry it; keep one entry.
 			r.mu.Lock()
-			if r.journalErr == nil {
-				r.journalErr = jerr
+			if !slices.ContainsFunc(r.abandoned, isCell) {
+				r.abandoned = append(r.abandoned, AbandonedCell{
+					Bench: bench, Config: cfgName, ConfigHash: id.configHash,
+					Attempts: attempts, Error: err.Error(),
+				})
 			}
 			r.mu.Unlock()
 		}
+		return RunRecord{}, err
 	}
-
-	c.res, c.err = res, err
-	close(c.done)
-	return res, SourceSimulated, err
+	rec := newRunRecord(bench, cfgName, id.configHash, r.opt.Insts, wall, res)
+	rec.Attempts = attempts
+	rec.Fallback = fallback
+	var jerr error
+	if r.opt.Journal != nil {
+		// Make the finished cell durable before publishing it; a journal
+		// failure costs resumability, not the sweep (see JournalErr).
+		jerr = r.opt.Journal.Append(rec)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if jerr != nil && r.journalErr == nil {
+		r.journalErr = jerr
+	}
+	r.records = append(r.records, rec)
+	r.abandoned = slices.DeleteFunc(r.abandoned, isCell)
+	return rec, nil
 }
 
 // SimulateFunc is the signature of a simulation backend: it turns one
@@ -1031,35 +930,6 @@ func (r *Runner) UseBackend(sim SimulateFunc) {
 // supervisor must outlive the cell it runs in place of a worker.
 func (r *Runner) LocalSimulate(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
 	return r.runProtected(ctx, bench, cfg, cfg.Name(), r.simulate)
-}
-
-// RunGuarded is Run behind the runner's parallelism budget: a call
-// that will be answered without simulating — memo cache, primed
-// journal, or joining an in-flight duplicate — proceeds immediately,
-// anything else first acquires one token of Options.Parallel. It is
-// the per-job step of the bounded sweep pool (runAll) and of the
-// mdserve scheduler's workers, which must never let one queued request
-// oversubscribe the shared simulation budget.
-func (r *Runner) RunGuarded(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, RunSource, error) {
-	key := runKey{bench, cfg}
-	r.mu.Lock()
-	_, settled := r.cache[key]
-	if !settled && len(r.primed) > 0 {
-		_, settled = r.primed[runKeyID{bench, r.cfgHashLocked(cfg)}]
-	}
-	if !settled {
-		// Joining an in-flight duplicate blocks but performs no work;
-		// holding a token for the wait would starve real simulations.
-		_, settled = r.inflight[key]
-	}
-	r.mu.Unlock()
-	if !settled {
-		if err := r.sem.Acquire(ctx); err != nil {
-			return nil, "", err
-		}
-		defer r.sem.Release()
-	}
-	return r.RunWithSource(ctx, bench, cfg)
 }
 
 // job is one (bench, config) simulation request.

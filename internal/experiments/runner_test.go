@@ -129,17 +129,17 @@ func TestRunnerSharesRecordingAcrossConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.mu.Lock()
-	n := len(r.recs)
-	r.mu.Unlock()
+	r.recs.mu.Lock()
+	n := len(r.recs.vals)
+	r.recs.mu.Unlock()
 	if n != 1 {
 		t.Errorf("three configs over one benchmark created %d recordings, want 1", n)
 	}
-	a, err := r.recording("129.compress")
+	a, err := r.recording(bg, "129.compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.recording("129.compress")
+	b, err := r.recording(bg, "129.compress")
 	if err != nil {
 		t.Fatal(err)
 	}

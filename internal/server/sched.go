@@ -8,7 +8,6 @@ import (
 
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
-	"mdspec/internal/stats"
 )
 
 // ErrQueueFull reports a request refused because the bounded work
@@ -35,7 +34,7 @@ type task struct {
 // taskResult is one completed (or refused) task.
 type taskResult struct {
 	t   *task
-	res *stats.Run
+	rec experiments.RunRecord
 	src experiments.RunSource
 	err error
 }
@@ -88,11 +87,11 @@ func (s *scheduler) worker() {
 		s.infMu.Lock()
 		s.inflight[t] = time.Now()
 		s.infMu.Unlock()
-		res, src, err := s.runner.RunGuarded(t.ctx, t.bench, t.cfg)
+		rec, src, err := s.runner.RunGuarded(t.ctx, t.bench, t.cfg)
 		s.infMu.Lock()
 		delete(s.inflight, t)
 		s.infMu.Unlock()
-		t.done <- taskResult{t: t, res: res, src: src, err: err} //md:ctxok task.done is buffered by the submitter with room for every result (task contract above)
+		t.done <- taskResult{t: t, rec: rec, src: src, err: err} //md:ctxok task.done is buffered by the submitter with room for every result (task contract above)
 	}
 }
 

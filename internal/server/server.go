@@ -285,15 +285,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			s.logf("run %s %s: %v", req.Bench, req.Config.Name(), res.err)
 			return
 		}
-		rec, ok := s.runner.Record(req.Bench, req.Config)
-		if !ok {
-			// Every successful RunGuarded leaves a record; missing one is
-			// a server bug, not a client error.
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("no record for completed cell"))
-			return
-		}
-		s.logf("run %s %s: %s in %.3fs", req.Bench, rec.Config, res.src, rec.WallSeconds)
-		writeJSON(w, http.StatusOK, RunResponse{Record: rec, Source: res.src})
+		s.logf("run %s %s: %s in %.3fs", req.Bench, res.rec.Config, res.src, res.rec.WallSeconds)
+		writeJSON(w, http.StatusOK, RunResponse{Record: res.rec, Source: res.src})
 	case <-r.Context().Done():
 		// Client gone: the worker will observe the dead context (or
 		// finish and populate the cache for the next caller); nothing
@@ -390,13 +383,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				emit(Event{Event: "failed", Bench: res.t.bench, Config: res.t.cfg.Name(), Error: res.err.Error()})
 				continue
 			}
-			rec, ok := s.runner.Record(res.t.bench, res.t.cfg)
-			if !ok {
-				failed++
-				emit(Event{Event: "failed", Bench: res.t.bench, Config: res.t.cfg.Name(), Error: "no record for completed cell"})
-				continue
-			}
-			emit(Event{Event: "finished", Bench: res.t.bench, Config: rec.Config, Source: res.src, Record: &rec})
+			emit(Event{Event: "finished", Bench: res.t.bench, Config: res.rec.Config, Source: res.src, Record: &res.rec})
 		case <-r.Context().Done():
 			// Client gone mid-stream: stop writing. In-queue cells are
 			// skipped by their dead context; in-flight ones finish into

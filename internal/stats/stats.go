@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -130,16 +129,6 @@ func (r *Run) String() string {
 		100*r.MisspecRate(), 100*r.BranchMissRate())
 }
 
-// Speedup returns the relative performance of r over base as a ratio of
-// IPCs (1.0 = parity).
-func (r *Run) Speedup(base *Run) float64 {
-	b := base.IPC()
-	if b == 0 {
-		return 0
-	}
-	return r.IPC() / b
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -224,9 +213,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRows sorts the table rows by the first column.
-func (t *Table) SortRows() {
-	sort.Slice(t.Rows, func(i, j int) bool { return t.Rows[i][0] < t.Rows[j][0] })
 }

@@ -39,18 +39,6 @@ func TestZeroDenominators(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	a := Run{Cycles: 100, Committed: 300}
-	b := Run{Cycles: 100, Committed: 200}
-	if got := a.Speedup(&b); got != 1.5 {
-		t.Errorf("speedup = %v", got)
-	}
-	var zero Run
-	if got := a.Speedup(&zero); got != 0 {
-		t.Errorf("speedup over zero base = %v", got)
-	}
-}
-
 func TestMeanAndGeoMean(t *testing.T) {
 	if Mean(nil) != 0 || GeoMean(nil) != 0 {
 		t.Error("empty means should be 0")
@@ -98,10 +86,6 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "----") {
 		t.Error("second line should be the rule")
-	}
-	tb.SortRows()
-	if tb.Rows[0][0] != "alpha" {
-		t.Error("SortRows should order by first column")
 	}
 }
 
