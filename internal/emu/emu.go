@@ -6,10 +6,16 @@
 // checks), branch outcomes, and — for loads — the sequence number of the
 // most recent earlier store to the same word (the oracle dependence used
 // by the NAS/ORACLE policy and by false-dependence accounting).
+//
+// Memory serves the program's data section from a dense copy of its
+// image (prog.Program.Data) and every other address from sparse pages;
+// the per-word last-store table that yields ProducerSeq is laid out the
+// same way.
 package emu
 
 import (
 	"fmt"
+	"slices"
 
 	"mdspec/internal/isa"
 	"mdspec/internal/prog"
@@ -61,9 +67,13 @@ const (
 	pageMask  = pageWords - 1
 )
 
-// Memory is a sparse, paged, word-addressed (8-byte words) memory image.
-// The zero value is an empty memory; all words read as zero until written.
+// Memory is a word-addressed (8-byte words) memory image. The words of
+// the program's data section live in a dense array (the image) that
+// starts at prog.DataBase; every other address, such as the stack,
+// lives in sparse 512-word pages. All words outside the image read as
+// zero until written.
 type Memory struct {
+	image []int64
 	pages map[uint32]*[pageWords]int64
 }
 
@@ -72,10 +82,28 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint32]*[pageWords]int64)}
 }
 
+// newImageMemory returns a memory whose data section starts as a copy
+// of image.
+func newImageMemory(image []int64) *Memory {
+	m := NewMemory()
+	m.image = slices.Clone(image)
+	return m
+}
+
 func wordAddr(byteAddr uint32) uint32 { return byteAddr >> 3 }
+
+// slot returns the image index of the word at byte address addr and
+// whether the word lies inside the image.
+func (m *Memory) slot(addr uint32) (uint32, bool) {
+	i := (addr - prog.DataBase) >> 3
+	return i, i < uint32(len(m.image))
+}
 
 // Read returns the word at byte address addr (must be 8-byte aligned).
 func (m *Memory) Read(addr uint32) int64 {
+	if i, ok := m.slot(addr); ok {
+		return m.image[i]
+	}
 	w := wordAddr(addr)
 	pg := m.pages[w>>pageShift]
 	if pg == nil {
@@ -86,6 +114,10 @@ func (m *Memory) Read(addr uint32) int64 {
 
 // Write stores v at byte address addr (must be 8-byte aligned).
 func (m *Memory) Write(addr uint32, v int64) {
+	if i, ok := m.slot(addr); ok {
+		m.image[i] = v
+		return
+	}
 	w := wordAddr(addr)
 	key := w >> pageShift
 	pg := m.pages[key]
@@ -96,7 +128,8 @@ func (m *Memory) Write(addr uint32, v int64) {
 	pg[w&pageMask] = v
 }
 
-// Footprint returns the number of distinct pages touched.
+// Footprint returns the number of distinct pages touched outside the
+// image.
 func (m *Memory) Footprint() int { return len(m.pages) }
 
 // Machine executes a program functionally.
@@ -108,8 +141,11 @@ type Machine struct {
 	seq    int64
 	halted bool
 
-	// lastStore maps word address -> Seq of the last store to it.
-	lastStore map[uint32]int64
+	// lastStore holds, for each word of the memory image, the Seq+1 of
+	// the last store to it (0: never stored). outerStore maps the word
+	// address of every other stored word to the Seq of its last store.
+	lastStore  []int64
+	outerStore map[uint32]int64
 	// lastWriter maps register -> Seq of the last instruction to write
 	// it (-1 if never written).
 	lastWriter [isa.NumRegs]int64
@@ -119,14 +155,11 @@ type Machine struct {
 // data image loaded and SP set to the stack base.
 func New(p *prog.Program) *Machine {
 	m := &Machine{
-		prog:      p,
-		mem:       NewMemory(),
-		pc:        p.Entry,
-		lastStore: make(map[uint32]int64),
-	}
-	//md:orderindependent each address is written once, so the memory image is the same for every visit order
-	for addr, v := range p.Data {
-		m.mem.Write(addr, v)
+		prog:       p,
+		mem:        newImageMemory(p.Data),
+		pc:         p.Entry,
+		lastStore:  make([]int64, len(p.Data)),
+		outerStore: make(map[uint32]int64),
 	}
 	m.regs[isa.SP] = int64(prog.StackBase)
 	for i := range m.lastWriter {
@@ -262,9 +295,7 @@ func (m *Machine) Step(d *DynInst) bool {
 		d.Addr = addr
 		word := m.mem.Read(addr)
 		d.LoadVal = extract(word, in.Op, byteAddr)
-		if s, ok := m.lastStore[wordAddr(addr)]; ok {
-			d.ProducerSeq = s
-		}
+		d.ProducerSeq = m.lastStoreTo(addr)
 		m.setReg(in.Rd, d.LoadVal)
 	case isa.SW, isa.SB, isa.SH:
 		byteAddr := uint32(r1 + in.Imm)
@@ -273,7 +304,7 @@ func (m *Machine) Step(d *DynInst) bool {
 		d.OldVal = m.mem.Read(addr)
 		d.StoreVal = merge(d.OldVal, r2v, in.Op, byteAddr)
 		m.mem.Write(addr, d.StoreVal)
-		m.lastStore[wordAddr(addr)] = m.seq
+		m.noteStore(addr)
 	case isa.BEQ:
 		d.Taken = r1 == r2v
 	case isa.BNE:
@@ -309,6 +340,28 @@ func (m *Machine) Step(d *DynInst) bool {
 	m.pc = d.NextPC
 	m.seq++
 	return true
+}
+
+// lastStoreTo returns the Seq of the last store to the word at byte
+// address addr, or -1 if the word was never stored to.
+func (m *Machine) lastStoreTo(addr uint32) int64 {
+	if i, ok := m.mem.slot(addr); ok {
+		return m.lastStore[i] - 1
+	}
+	if s, ok := m.outerStore[wordAddr(addr)]; ok {
+		return s
+	}
+	return -1
+}
+
+// noteStore records the current instruction as the last store to the
+// word at byte address addr.
+func (m *Machine) noteStore(addr uint32) {
+	if i, ok := m.mem.slot(addr); ok {
+		m.lastStore[i] = m.seq + 1
+		return
+	}
+	m.outerStore[wordAddr(addr)] = m.seq
 }
 
 // writerOf returns the seq of the last writer of r, or -1 when the

@@ -1,7 +1,8 @@
 // Package prog represents executable programs for the mini-RISC ISA and
 // provides a label-resolving assembler (Builder) plus a simple data-section
-// allocator. Workload generators use it to construct the synthetic
-// SPEC'95-analog benchmarks.
+// allocator. The data section is a dense array of words starting at
+// DataBase, so a generator fills an arena by writing a slice. Workload
+// generators use it to construct the synthetic SPEC'95-analog benchmarks.
 package prog
 
 import (
@@ -28,8 +29,10 @@ const WordBytes = 8
 type Program struct {
 	Code  []isa.Inst
 	Entry uint32
-	// Data maps byte addresses to initial 64-bit word values.
-	Data map[uint32]int64
+	// Data is the initial data section: word i sits at byte address
+	// DataBase + i*WordBytes, up to the last allocated word. Every
+	// other address starts as zero.
+	Data []int64
 	// Labels maps label names to resolved byte PCs (for diagnostics).
 	Labels map[string]uint32
 }
@@ -69,21 +72,18 @@ type fixup struct {
 // helpers; Label defines a jump target at the current position; branches
 // may reference labels defined later (resolved by Program()).
 type Builder struct {
-	code    []isa.Inst
-	labels  map[string]uint32
-	fixups  []fixup
-	data    map[uint32]int64
-	nextVar uint32 // next free data byte address
-	err     error
+	code   []isa.Inst
+	labels map[string]uint32
+	fixups []fixup
+	// data holds the data section's words from DataBase to the last
+	// allocated word; its length is the allocation frontier.
+	data []int64
+	err  error
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{
-		labels:  make(map[string]uint32),
-		data:    make(map[uint32]int64),
-		nextVar: DataBase,
-	}
+	return &Builder{labels: make(map[string]uint32)}
 }
 
 // Err returns the first error recorded during assembly (duplicate or
@@ -114,10 +114,13 @@ func (b *Builder) Label(name string) {
 // Alloc reserves n words of data and returns the byte address of the
 // first. Words are zero-initialized.
 func (b *Builder) Alloc(nWords int) uint32 {
-	addr := b.nextVar
-	b.nextVar += uint32(nWords * WordBytes)
+	addr := b.dataEnd()
+	b.data = append(b.data, make([]int64, nWords)...)
 	return addr
 }
+
+// dataEnd returns the byte address just past the last allocated word.
+func (b *Builder) dataEnd() uint32 { return DataBase + uint32(len(b.data)*WordBytes) }
 
 // AllocAligned reserves n words starting at a multiple of align bytes
 // (align must be a power of two). Power-of-two-aligned arenas allow
@@ -127,30 +130,30 @@ func (b *Builder) AllocAligned(nWords int, align uint32) uint32 {
 		b.setErr(fmt.Errorf("prog: alignment %d is not a power of two", align))
 		align = 1
 	}
-	b.nextVar = (b.nextVar + align - 1) &^ (align - 1)
-	return b.Alloc(nWords)
+	end := b.dataEnd()
+	pad := ((end + align - 1) &^ (align - 1)) - end
+	return b.Alloc(int(pad)/WordBytes+nWords) + pad
 }
 
 // AllocInit reserves words initialized from vals and returns the base
 // byte address.
 func (b *Builder) AllocInit(vals ...int64) uint32 {
 	addr := b.Alloc(len(vals))
-	for i, v := range vals {
-		if v != 0 {
-			b.data[addr+uint32(i*WordBytes)] = v
-		}
-	}
+	copy(b.Words(addr, len(vals)), vals)
 	return addr
 }
 
-// SetData sets the initial value of the word at byte address addr.
-func (b *Builder) SetData(addr uint32, v int64) {
-	if v == 0 {
-		delete(b.data, addr)
-		return
-	}
-	b.data[addr] = v
+// Words returns the initial values of the n allocated words starting at
+// byte address addr, for the caller to fill in place. It panics if the
+// range reaches past the allocated data section.
+func (b *Builder) Words(addr uint32, n int) []int64 {
+	i := int(addr-DataBase) / WordBytes
+	return b.data[i : i+n : i+n]
 }
+
+// SetData sets the initial value of the allocated word at byte address
+// addr.
+func (b *Builder) SetData(addr uint32, v int64) { b.Words(addr, 1)[0] = v }
 
 // Emit appends a raw instruction.
 func (b *Builder) Emit(in isa.Inst) {

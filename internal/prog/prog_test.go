@@ -66,14 +66,9 @@ func TestAllocInit(t *testing.T) {
 	base := b.AllocInit(10, 0, 30)
 	b.Halt()
 	p := b.MustProgram()
-	if p.Data[base] != 10 {
-		t.Errorf("word 0 = %d, want 10", p.Data[base])
-	}
-	if _, present := p.Data[base+WordBytes]; present {
-		t.Error("zero word should not be materialized")
-	}
-	if p.Data[base+2*WordBytes] != 30 {
-		t.Errorf("word 2 = %d, want 30", p.Data[base+2*WordBytes])
+	i := int(base-DataBase) / WordBytes
+	if got := p.Data[i : i+3]; len(p.Data) != i+3 || got[0] != 10 || got[1] != 0 || got[2] != 30 {
+		t.Errorf("data = %v, want [10 0 30] ending the image", p.Data[i:])
 	}
 }
 

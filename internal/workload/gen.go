@@ -94,17 +94,54 @@ func MustBuild(name string) *prog.Program {
 // Generate builds a program from an arbitrary profile (exported so
 // ablation experiments can perturb single knobs).
 func Generate(pr Profile) (*prog.Program, error) {
-	if pr.FootprintWords <= 0 || pr.FootprintWords&(pr.FootprintWords-1) != 0 {
-		return nil, fmt.Errorf("workload %s: footprint must be a positive power of two", pr.Name)
-	}
-	if pr.BranchEvery < 3 {
-		return nil, fmt.Errorf("workload %s: BranchEvery too small", pr.Name)
+	if err := pr.validate(); err != nil {
+		return nil, err
 	}
 	g := &generator{pr: pr, rng: newRng(pr.Seed*0x9e3779b9 + 1), b: prog.NewBuilder(), lastLoadInt: isa.NoReg, lastLoadFP: isa.NoReg, lastProduced: isa.NoReg}
 	g.layout()
 	g.plan()
 	g.emit()
 	return g.b.Program()
+}
+
+// Limits on the profile knobs that size what Generate allocates. The
+// data section is a dense array, so the footprint cap bounds it at about
+// twice maxFootprintWords words (16 MiB); the largest Table 1 analog
+// uses 1<<17. BranchEvery beyond the 600-slot body only lengthens it.
+const (
+	maxFootprintWords = 1 << 20
+	maxBranchEvery    = 600
+	maxDepDistance    = 1 << 16
+)
+
+// validate rejects a profile that Generate cannot build or that would
+// make it allocate past the limits above.
+func (pr Profile) validate() error {
+	if pr.FootprintWords <= 0 || pr.FootprintWords&(pr.FootprintWords-1) != 0 {
+		return fmt.Errorf("workload %s: footprint must be a positive power of two", pr.Name)
+	}
+	if pr.FootprintWords > maxFootprintWords {
+		return fmt.Errorf("workload %s: footprint %d words exceeds the limit of %d", pr.Name, pr.FootprintWords, maxFootprintWords)
+	}
+	if pr.BranchEvery < 3 || pr.BranchEvery > maxBranchEvery {
+		return fmt.Errorf("workload %s: BranchEvery %d outside [3, %d]", pr.Name, pr.BranchEvery, maxBranchEvery)
+	}
+	if pr.DepDistance < 0 || pr.DepDistance > maxDepDistance {
+		return fmt.Errorf("workload %s: DepDistance %d outside [0, %d]", pr.Name, pr.DepDistance, maxDepDistance)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"LoadFrac", pr.LoadFrac}, {"StoreFrac", pr.StoreFrac},
+		{"TrueDepFrac", pr.TrueDepFrac}, {"PointerFrac", pr.PointerFrac},
+		{"BranchNoise", pr.BranchNoise}, {"CallFrac", pr.CallFrac},
+	} {
+		if !(f.v >= 0 && f.v <= 1) { // also rejects NaN
+			return fmt.Errorf("workload %s: %s %v outside [0, 1]", pr.Name, f.name, f.v)
+		}
+	}
+	return nil
 }
 
 type generator struct {
@@ -138,7 +175,8 @@ type generator struct {
 func (g *generator) layout() {
 	b, pr := g.b, g.pr
 	readBytes := uint32(pr.FootprintWords * prog.WordBytes)
-	g.readBase = b.AllocAligned(pr.FootprintWords+streamWindow/prog.WordBytes, readBytes)
+	readWords := pr.FootprintWords + streamWindow/prog.WordBytes
+	g.readBase = b.AllocAligned(readWords, readBytes)
 	g.readMask = int64(readBytes - 1)
 
 	writeWords := pr.FootprintWords / 4
@@ -152,8 +190,9 @@ func (g *generator) layout() {
 	// Fill the read arena with pseudo-random data: loaded values feed
 	// data-dependent branches, so they must actually vary.
 	r := newRng(pr.Seed + 7)
-	for i := 0; i < pr.FootprintWords+streamWindow/prog.WordBytes; i++ {
-		b.SetData(g.readBase+uint32(i*prog.WordBytes), int64(r.next()%4096)+1)
+	read := b.Words(g.readBase, readWords)
+	for i := range read {
+		read[i] = int64(r.next()%4096) + 1
 	}
 
 	// Pointer-chase list: a shuffled cycle sized to mostly fit L1.
@@ -167,6 +206,7 @@ func (g *generator) layout() {
 	// Nodes are [next, payload] pairs so pointer-dependent stores have a
 	// target that does not corrupt the cycle.
 	g.listBase = b.Alloc(g.nodes * 2)
+	list := b.Words(g.listBase, g.nodes*2)
 	perm := make([]int, g.nodes)
 	for i := range perm {
 		perm[i] = i
@@ -177,9 +217,8 @@ func (g *generator) layout() {
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	for i := 0; i < g.nodes; i++ {
-		from := g.listBase + uint32(perm[i]*2*prog.WordBytes)
-		to := g.listBase + uint32(perm[(i+1)%g.nodes]*2*prog.WordBytes)
-		b.SetData(from, int64(to))
+		next := perm[(i+1)%g.nodes]
+		list[perm[i]*2] = int64(g.listBase + uint32(next*2*prog.WordBytes))
 	}
 }
 

@@ -143,6 +143,21 @@ func TestGenerateRejectsBadProfiles(t *testing.T) {
 	if _, err := Generate(bad); err == nil {
 		t.Error("tiny BranchEvery should be rejected")
 	}
+	bad = Profiles()[0]
+	bad.FootprintWords = 2 * maxFootprintWords
+	if _, err := Generate(bad); err == nil {
+		t.Error("footprint above maxFootprintWords should be rejected")
+	}
+	bad = Profiles()[0]
+	bad.DepDistance = -1
+	if _, err := Generate(bad); err == nil {
+		t.Error("negative DepDistance should be rejected")
+	}
+	bad = Profiles()[0]
+	bad.LoadFrac = math.NaN()
+	if _, err := Generate(bad); err == nil {
+		t.Error("NaN LoadFrac should be rejected")
+	}
 }
 
 func TestKernelRecurrenceDependences(t *testing.T) {
